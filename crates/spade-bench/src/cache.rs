@@ -52,7 +52,7 @@ const FOOTER_LEN: usize = 16;
 /// hash for cache keys and entry checksums. Stable across platforms,
 /// processes and builds (unlike `DefaultHasher`, which is randomly
 /// seeded per process).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
 impl Fnv64 {
@@ -88,6 +88,46 @@ impl Fnv64 {
 impl Default for Fnv64 {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The 128-bit content hash behind cache keys: two independently seeded
+/// [`Fnv64`] streams absorbing the same bytes, which pushes collisions
+/// out of practical reach. The state is plain data, so a hash of a shared
+/// prefix can be copied and extended once per key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyHasher {
+    lo: Fnv64,
+    hi: Fnv64,
+}
+
+impl KeyHasher {
+    pub(crate) fn new() -> Self {
+        let mut hi = Fnv64::new();
+        hi.write_u64(0x5eed_5eed_5eed_5eed);
+        KeyHasher {
+            lo: Fnv64::new(),
+            hi,
+        }
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        self.lo.write(bytes);
+        self.hi.write(bytes);
+    }
+
+    pub(crate) fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    pub(crate) fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The 32 hex digits of the hash, after `prefix` (which names the key
+    /// space: run keys have none, search keys `s`, trace keys `t`).
+    pub(crate) fn key(&self, prefix: &str) -> String {
+        format!("{prefix}{:016x}{:016x}", self.lo.finish(), self.hi.finish())
     }
 }
 

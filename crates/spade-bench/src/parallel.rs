@@ -37,9 +37,10 @@ use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::Instant;
 
 use spade_core::{Primitive, RunReport, SpadeSystem, SystemConfig};
-use spade_matrix::reference;
+use spade_matrix::{reference, Coo};
 use spade_sim::{Cycle, TelemetrySeries, TraceLog};
 
+use crate::cache::KeyHasher;
 use crate::suite::Workload;
 
 /// Why one job of a sweep failed. Failures are per-job: the rest of the
@@ -324,42 +325,13 @@ impl Job {
     /// scheduler/memory/shard equivalence suites), and the cache stores
     /// reports only.
     pub fn cache_key(&self) -> String {
-        // Bump when the key composition itself changes, so a new daemon
-        // never collides with entries keyed by an older scheme.
-        const KEY_SCHEMA: u32 = 1;
-        let absorb = |h: &mut crate::cache::Fnv64| {
-            h.write_u32(KEY_SCHEMA);
-            let a = &self.workload.a;
-            h.write_u64(a.num_rows() as u64);
-            h.write_u64(a.num_cols() as u64);
-            h.write_u64(a.nnz() as u64);
-            for (r, c, v) in a.iter() {
-                h.write_u32(r);
-                h.write_u32(c);
-                h.write_u32(v.to_bits());
-            }
-            h.write_u64(self.workload.k as u64);
-            // SystemConfig and ExecutionPlan are plain-data structs; their
-            // Debug form is a complete, deterministic rendering of every
-            // field. The KEY_SCHEMA bump covers any future layout change.
-            h.write(format!("{:?}", self.config).as_bytes());
-            h.write(format!("{:?}|{:?}", self.primitive, self.plan).as_bytes());
-            match self.deadline_cycles {
-                // A deadline changes the *outcome space* (a run may fail
-                // at the ceiling), so bounded and unbounded runs get
-                // distinct keys.
-                Some(d) => h.write_u64(d),
-                None => h.write(b"-"),
-            }
-        };
-        // Two independently seeded streams over the same content widen
-        // the key to 128 bits, pushing collisions out of practical reach.
-        let mut lo = crate::cache::Fnv64::new();
-        absorb(&mut lo);
-        let mut hi = crate::cache::Fnv64::new();
-        hi.write_u64(0x5eed_5eed_5eed_5eed);
-        absorb(&mut hi);
-        format!("{:016x}{:016x}", lo.finish(), hi.finish())
+        MatrixDigest::of(&self.workload.a).run_key(
+            self.workload.k,
+            &self.config,
+            self.primitive,
+            &self.plan,
+            self.deadline_cycles,
+        )
     }
 
     /// Content-addressed identity of this job *as a traced run*: the
@@ -369,24 +341,7 @@ impl Job {
     /// must absorb the telemetry window — the telemetry lane is part of
     /// the served trace bytes.
     pub fn trace_cache_key(&self) -> String {
-        // Bump when the trace payload composition changes, so a new
-        // daemon never serves a stale trace layout.
-        const TRACE_KEY_SCHEMA: u32 = 1;
-        let base = self.cache_key();
-        let absorb = |h: &mut crate::cache::Fnv64| {
-            h.write_u32(TRACE_KEY_SCHEMA);
-            h.write(base.as_bytes());
-            match self.telemetry_window {
-                Some(w) => h.write_u64(w),
-                None => h.write(b"-"),
-            }
-        };
-        let mut lo = crate::cache::Fnv64::new();
-        absorb(&mut lo);
-        let mut hi = crate::cache::Fnv64::new();
-        hi.write_u64(0x5eed_5eed_5eed_5eed);
-        absorb(&mut hi);
-        format!("t{:016x}{:016x}", lo.finish(), hi.finish())
+        trace_key(&self.cache_key(), self.telemetry_window)
     }
 
     /// Runs this job on the calling thread, validating the simulated
@@ -479,6 +434,109 @@ impl Job {
             attempts: 1,
         }
     }
+}
+
+/// Bump when the key composition itself changes, so a new daemon never
+/// collides with entries keyed by an older scheme.
+const KEY_SCHEMA: u32 = 1;
+
+/// The per-matrix half of a [`Job::cache_key`]: the key hash after the
+/// schema version, the matrix shape and every triplet, plus the column
+/// count the default plans are built from. Hashing the triplets is the
+/// costly part of a key; [`MatrixDigest::run_key`] adds the per-job tail
+/// from a copy of this state, so one digest serves every job on the
+/// matrix without the matrix itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MatrixDigest {
+    hash: KeyHasher,
+    num_cols: usize,
+}
+
+impl MatrixDigest {
+    pub(crate) fn of(a: &Coo) -> Self {
+        let mut hash = KeyHasher::new();
+        hash.write_u32(KEY_SCHEMA);
+        hash.write_u64(a.num_rows() as u64);
+        hash.write_u64(a.num_cols() as u64);
+        hash.write_u64(a.nnz() as u64);
+        for (r, c, v) in a.iter() {
+            hash.write_u32(r);
+            hash.write_u32(c);
+            hash.write_u32(v.to_bits());
+        }
+        MatrixDigest {
+            hash,
+            num_cols: a.num_cols(),
+        }
+    }
+
+    /// The digested matrix's column count.
+    pub(crate) fn num_cols(&self) -> usize {
+        self.num_cols
+    }
+
+    /// The cache key of one job on the digested matrix (see
+    /// [`Job::cache_key`]).
+    pub(crate) fn run_key(
+        &self,
+        k: usize,
+        config: &SystemConfig,
+        primitive: Primitive,
+        plan: &spade_core::ExecutionPlan,
+        deadline_cycles: Option<Cycle>,
+    ) -> String {
+        let mut hash = self.hash;
+        hash.write_u64(k as u64);
+        // SystemConfig and ExecutionPlan are plain-data structs; their
+        // Debug form is a complete, deterministic rendering of every
+        // field. The KEY_SCHEMA bump covers any future layout change.
+        hash.write(format!("{config:?}").as_bytes());
+        hash.write(format!("{primitive:?}|{plan:?}").as_bytes());
+        match deadline_cycles {
+            // A deadline changes the *outcome space* (a run may fail at
+            // the ceiling), so bounded and unbounded runs get distinct
+            // keys.
+            Some(d) => hash.write_u64(d),
+            None => hash.write(b"-"),
+        }
+        hash.key("")
+    }
+
+    /// The cache key of a plan search over `plans` (SpMM) on the digested
+    /// matrix. A search result is a pure function of its candidate set,
+    /// so the key hashes every candidate's run key (prefixed `s` to keep
+    /// run and search entries in distinct key spaces).
+    pub(crate) fn search_key(
+        &self,
+        k: usize,
+        config: &SystemConfig,
+        plans: &[spade_core::ExecutionPlan],
+        deadline_cycles: Option<Cycle>,
+    ) -> String {
+        let mut hash = KeyHasher::new();
+        hash.write(b"search:v1");
+        for plan in plans {
+            let key = self.run_key(k, config, Primitive::Spmm, plan, deadline_cycles);
+            hash.write(key.as_bytes());
+        }
+        hash.key("s")
+    }
+}
+
+/// The trace key of the job whose run key is `run_key`, traced with
+/// `telemetry_window` (see [`Job::trace_cache_key`]).
+pub(crate) fn trace_key(run_key: &str, telemetry_window: Option<Cycle>) -> String {
+    // Bump when the trace payload composition changes, so a new daemon
+    // never serves a stale trace layout.
+    const TRACE_KEY_SCHEMA: u32 = 1;
+    let mut hash = KeyHasher::new();
+    hash.write_u32(TRACE_KEY_SCHEMA);
+    hash.write(run_key.as_bytes());
+    match telemetry_window {
+        Some(w) => hash.write_u64(w),
+        None => hash.write(b"-"),
+    }
+    hash.key("t")
 }
 
 /// Executes job lists across a bounded worker pool.

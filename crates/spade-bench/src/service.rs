@@ -36,6 +36,10 @@
 //!   are *canonical*: `host_wall_ns`, `shards` and `shard_wall_ns` — host
 //!   properties, excluded from [`RunReport`] equality — are normalized
 //!   before rendering.
+//! * **Cheap hits.** Keys are derived from a per-graph digest table
+//!   (`KeyDigests`), so a request on a graph the daemon has seen probes
+//!   the cache without generating the graph; only a miss prepares its
+//!   workload and job.
 //! * **Graceful shutdown.** SIGTERM/SIGINT (see
 //!   [`install_termination_handler`]) or an in-band `shutdown` request
 //!   stops the accept loop, drains in-flight jobs, flushes the cache
@@ -89,7 +93,7 @@
 //! telemetry series and trace byte is identical with observability on
 //! or off. The robustness suite pins this.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -107,10 +111,10 @@ use spade_matrix::generators::{Benchmark, Scale};
 use spade_sim::json::MAX_FRAME_BYTES;
 use spade_sim::{Cycle, FrameError, FrameReader, JsonValue};
 
-use crate::cache::{CacheStats, Fnv64, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::model::CostModel;
-use crate::parallel::{self, Job, JobOutput, ParallelRunner};
+use crate::parallel::{self, trace_key, Job, JobOutput, MatrixDigest, ParallelRunner};
 use crate::suite::Workload;
 
 /// Wire-protocol version, reported by `ping` and `status`. Version 2
@@ -150,6 +154,11 @@ const INDEX_FLUSH_EVERY: u64 = 8;
 
 /// Ceiling on the load-scaled `retry_after_ms` hint.
 pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
+
+/// Longest the accept loop waits for a connection before re-checking the
+/// shutdown flag. A connection wakes the loop at once; this bounds how
+/// long SIGTERM or an in-band `shutdown` waits for the loop to notice.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// The back-pressure hint, scaled from load: `base` (the configured
 /// [`ServiceConfig::retry_after_ms`]) when the queue is empty, growing
@@ -291,6 +300,8 @@ struct Inner {
     /// Trained cost model for the `advise` request's model tier;
     /// `None` (cold or corrupt model file) falls back to the heuristic.
     model: Option<CostModel>,
+    /// Cache-key digests of the graphs requests have named so far.
+    digests: KeyDigests,
     metrics: ServiceMetrics,
     shutdown: AtomicBool,
     queue_depth: AtomicUsize,
@@ -437,6 +448,7 @@ impl Service {
                 cache,
                 dataset,
                 model,
+                digests: KeyDigests::default(),
                 metrics: ServiceMetrics::new(),
                 shutdown: AtomicBool::new(false),
                 queue_depth: AtomicUsize::new(0),
@@ -509,9 +521,9 @@ impl Service {
                     handlers.push(h);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                    wait_for_connection(&self.listener, ACCEPT_POLL);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
         }
         // Drain: handlers notice the shutdown flag within one read
@@ -638,22 +650,23 @@ fn process_frame(
 ) -> bool {
     let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
     let received = Instant::now();
-    let (id, parsed) = match parse_request(frame, inner.config.default_deadline_cycles) {
-        Ok(p) => p,
-        Err(message) => {
-            inner.bad_frames.fetch_add(1, Ordering::Relaxed);
-            log_event(
-                inner,
-                rid,
-                "bad_frame",
-                &[("message", message.as_str().into())],
-            );
-            return respond(
-                writer,
-                &error_response(None, None, "bad_request", &message, None),
-            );
-        }
-    };
+    let (id, parsed) =
+        match parse_request(frame, inner.config.default_deadline_cycles, &inner.digests) {
+            Ok(p) => p,
+            Err(message) => {
+                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
+                log_event(
+                    inner,
+                    rid,
+                    "bad_frame",
+                    &[("message", message.as_str().into())],
+                );
+                return respond(
+                    writer,
+                    &error_response(None, None, "bad_request", &message, None),
+                );
+            }
+        };
     let cmd_name = match &parsed {
         Request::Ping => "ping",
         Request::Status => "status",
@@ -703,9 +716,9 @@ fn process_frame(
         }
         Request::Work {
             cmd,
-            kind,
+            spec,
             cache_key,
-        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, kind, cache_key),
+        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, spec, cache_key),
         Request::Batch { jobs } => batch_response(inner, work_tx, rid, id.as_ref(), jobs),
         Request::Advise {
             benchmark,
@@ -729,15 +742,16 @@ fn process_frame(
 }
 
 /// Answers one `run`/`search`/`query`/`trace` request: cache probe on
-/// the connection thread, then the bounded admission queue. Returns the
-/// response line and whether it reports success.
+/// the connection thread, then — on a miss only — preparation and the
+/// bounded admission queue. Returns the response line and whether it
+/// reports success.
 fn work_response(
     inner: &Arc<Inner>,
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
     id: Option<&JsonValue>,
     cmd: &'static str,
-    kind: WorkKind,
+    spec: WorkSpec,
     cache_key: Option<String>,
 ) -> (String, bool) {
     // Cache probe happens on the connection thread: a hit never
@@ -755,7 +769,7 @@ fn work_response(
     let item = WorkItem {
         rid,
         cmd,
-        kind,
+        kind: spec.prepare(),
         store_key: cache_key.clone(),
         enqueued: Instant::now(),
         reply: reply_tx,
@@ -962,6 +976,7 @@ fn batch_response(
     let total = jobs.len();
     log_event(inner, rid, "batch", &[("jobs", total.into())]);
     let mut slots = Vec::with_capacity(total);
+    let mut workloads = Workloads::new();
     for (index, spec) in jobs.into_iter().enumerate() {
         let spec = match spec {
             Ok(spec) => spec,
@@ -992,7 +1007,7 @@ fn batch_response(
             }
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let (kind, cache_key) = spec.into_work();
+        let (kind, cache_key) = spec.into_work(&mut workloads);
         let item = WorkItem {
             rid,
             cmd: "batch",
@@ -1220,9 +1235,11 @@ enum Request {
     Status,
     Metrics,
     Shutdown,
+    /// A `run`/`trace`/`search`/`query`, probed in the cache under
+    /// `cache_key` before anything is prepared.
     Work {
         cmd: &'static str,
-        kind: WorkKind,
+        spec: WorkSpec,
         cache_key: Option<String>,
     },
     /// A sweep: many `run`-shaped jobs answered in one reply. Each slot
@@ -1245,9 +1262,12 @@ enum Request {
 
 /// Parses one frame into a request, applying the same validation the CLI
 /// flags get — every reject happens before any simulation work starts.
+/// Cache keys come from `digests`, which learns each graph's digest the
+/// first time a request names it.
 fn parse_request(
     frame: &[u8],
     default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
 ) -> Result<(Option<JsonValue>, Request), String> {
     let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
     let doc = JsonValue::parse(text).map_err(|e| format!("frame is not valid JSON: {e}"))?;
@@ -1267,11 +1287,11 @@ fn parse_request(
         "status" => Request::Status,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "run" => parse_run(&doc, default_deadline)?,
-        "search" => parse_search(&doc, default_deadline)?,
+        "run" => parse_run(&doc, default_deadline, digests)?,
+        "search" => parse_search(&doc, default_deadline, digests)?,
         "query" => parse_query(&doc)?,
-        "trace" => parse_trace(&doc, default_deadline)?,
-        "batch" => parse_batch(&doc, default_deadline)?,
+        "trace" => parse_trace(&doc, default_deadline, digests)?,
+        "batch" => parse_batch(&doc, default_deadline, digests)?,
         "advise" => Request::Advise {
             benchmark: parse_wire_benchmark(&doc)?,
             scale: parse_wire_scale(&doc)?,
@@ -1378,8 +1398,10 @@ fn parse_wire_deadline(
     }
 }
 
-fn parse_wire_plan(doc: &JsonValue, a: &spade_matrix::Coo) -> Result<ExecutionPlan, String> {
-    let mut plan = ExecutionPlan::spmm_base(a).map_err(|e| e.to_string())?;
+/// The request's plan: the Base plan for a matrix `num_cols` wide, with
+/// the request's knob overrides.
+fn parse_wire_plan(doc: &JsonValue, num_cols: usize) -> Result<ExecutionPlan, String> {
+    let mut plan = ExecutionPlan::base_for_cols(num_cols);
     let mut rp = plan.tiling.row_panel_size;
     let mut cp = plan.tiling.col_panel_size;
     if let Some(v) = field_u64(doc, "rp")? {
@@ -1387,7 +1409,7 @@ fn parse_wire_plan(doc: &JsonValue, a: &spade_matrix::Coo) -> Result<ExecutionPl
     }
     match doc.get("cp") {
         None => {}
-        Some(v) if v.as_str() == Some("all") => cp = a.num_cols().max(1),
+        Some(v) if v.as_str() == Some("all") => cp = num_cols.max(1),
         Some(v) => {
             cp = v.as_u64().ok_or("\"cp\" must be an integer or \"all\"")? as usize;
         }
@@ -1406,25 +1428,90 @@ fn parse_wire_plan(doc: &JsonValue, a: &spade_matrix::Coo) -> Result<ExecutionPl
     Ok(plan)
 }
 
-/// One parsed `run`-shaped job: the standalone `run` request and every
-/// `batch` slot go through exactly this, so a batch job's cache key,
-/// deadline resolution and rendered payload are byte-for-byte those of
-/// the equivalent individual request.
+/// Cache-key digests of the graphs requests have named, one per
+/// (benchmark, scale) — so at most one per pair of the two enums, with
+/// no eviction to tune. A request on a known graph derives its key from
+/// the digest without generating the matrix, which makes a cache hit
+/// cost a key tail and a disk read. The table holds digests, not
+/// workloads: the prepared operands of even the tiny graphs would cost
+/// megabytes of resident memory, and only a miss needs them.
+#[derive(Default)]
+struct KeyDigests(Mutex<HashMap<(Benchmark, Scale), MatrixDigest>>);
+
+impl KeyDigests {
+    /// The named graph with its digest, generating the matrix to record
+    /// the digest on the graph's first sight only.
+    fn graph(&self, benchmark: Benchmark, scale: Scale) -> Graph {
+        let table = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = table().get(&(benchmark, scale)).copied();
+        let digest = known.unwrap_or_else(|| {
+            // Generated outside the lock: a large graph's first sight
+            // must not stall other connections' lookups.
+            let digest = MatrixDigest::of(&benchmark.generate(scale));
+            table().insert((benchmark, scale), digest);
+            digest
+        });
+        Graph {
+            benchmark,
+            scale,
+            digest,
+        }
+    }
+}
+
+/// Workloads prepared for the misses of one request, by graph and `k`:
+/// the missed slots of a batch sweep share one preparation (and so one
+/// memoized gold result) per (benchmark, scale, k).
+type Workloads = HashMap<(Benchmark, Scale, usize), Arc<Workload>>;
+
+/// The graph a request names, with its key digest.
+struct Graph {
+    benchmark: Benchmark,
+    scale: Scale,
+    digest: MatrixDigest,
+}
+
+impl Graph {
+    /// The prepared workload for `k`. Only a cache miss calls this.
+    fn workload(&self, k: usize, workloads: &mut Workloads) -> Arc<Workload> {
+        let (benchmark, scale) = (self.benchmark, self.scale);
+        Arc::clone(
+            workloads
+                .entry((benchmark, scale, k))
+                .or_insert_with(|| Arc::new(Workload::prepare(benchmark, scale, k))),
+        )
+    }
+}
+
+/// One parsed `run`-shaped job: the standalone `run` request, every
+/// `batch` slot and the `trace` request go through exactly this, so a
+/// batch job's cache key, deadline resolution and rendered payload are
+/// byte-for-byte those of the equivalent individual request.
 struct RunSpec {
-    job: Box<Job>,
-    benchmark: String,
+    graph: Graph,
     kernel: Primitive,
     k: usize,
     pes: usize,
+    plan: ExecutionPlan,
+    deadline: Option<Cycle>,
+    /// The run's key (see [`Job::cache_key`]); `None` with `no_cache`.
     cache_key: Option<String>,
 }
 
 impl RunSpec {
-    fn into_work(self) -> (WorkKind, Option<String>) {
+    /// The job, prepared — only after the cache probe missed.
+    fn job(&self, workloads: &mut Workloads) -> Job {
+        let workload = self.graph.workload(self.k, workloads);
+        let config = Arc::new(SystemConfig::scaled(self.pes));
+        Job::new(&workload, &config, self.kernel, self.plan).with_deadline_cycles(self.deadline)
+    }
+
+    fn into_work(self, workloads: &mut Workloads) -> (WorkKind, Option<String>) {
+        let job = self.job(workloads);
         (
             WorkKind::Run {
-                job: self.job,
-                benchmark: self.benchmark,
+                job: Box::new(job),
+                benchmark: self.graph.benchmark.short_name().to_string(),
                 kernel: self.kernel,
                 k: self.k,
                 pes: self.pes,
@@ -1434,14 +1521,12 @@ impl RunSpec {
     }
 }
 
-/// Parses one `run`-shaped document. `workloads` memoizes prepared
-/// workloads across the jobs of a batch — a sweep over pes × plans
-/// re-uses one matrix preparation per (benchmark, scale, k) instead of
-/// preparing it per job; a standalone `run` passes an empty map.
+/// Parses one `run`-shaped document. The key comes from the graph's
+/// digest; nothing is prepared until the cache probe misses.
 fn parse_run_spec(
     doc: &JsonValue,
     default_deadline: Option<Cycle>,
-    workloads: &mut BTreeMap<String, Arc<Workload>>,
+    digests: &KeyDigests,
 ) -> Result<RunSpec, String> {
     let bench = parse_wire_benchmark(doc)?;
     let scale = parse_wire_scale(doc)?;
@@ -1450,36 +1535,36 @@ fn parse_run_spec(
     let kernel = parse_wire_kernel(doc)?;
     let deadline = parse_wire_deadline(doc, default_deadline)?;
     let no_cache = field_bool(doc, "no_cache", false)?;
-    let workload = Arc::clone(
-        workloads
-            .entry(format!("{}/{:?}/{k}", bench.short_name(), scale))
-            .or_insert_with(|| Arc::new(Workload::prepare(bench, scale, k))),
-    );
-    let plan = parse_wire_plan(doc, &workload.a)?;
-    let config = Arc::new(SystemConfig::scaled(pes));
+    let graph = digests.graph(bench, scale);
+    let plan = parse_wire_plan(doc, graph.digest.num_cols())?;
     // The deadline is resolved at admission (per-request field or the
-    // service default), so it lands in the job — and therefore in the
-    // cache key — before the cache probe.
-    let job = Job::new(&workload, &config, kernel, plan).with_deadline_cycles(deadline);
-    let cache_key = (!no_cache).then(|| job.cache_key());
+    // service default), so it lands in the cache key before the probe.
+    let cache_key = (!no_cache).then(|| {
+        graph
+            .digest
+            .run_key(k, &SystemConfig::scaled(pes), kernel, &plan, deadline)
+    });
     Ok(RunSpec {
-        job: Box::new(job),
-        benchmark: bench.short_name().to_string(),
+        graph,
         kernel,
         k,
         pes,
+        plan,
+        deadline,
         cache_key,
     })
 }
 
-fn parse_run(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
-    let spec = parse_run_spec(doc, default_deadline, &mut BTreeMap::new())?;
-    let cache_key = spec.cache_key.clone();
-    let (kind, _) = spec.into_work();
+fn parse_run(
+    doc: &JsonValue,
+    default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
+) -> Result<Request, String> {
+    let spec = parse_run_spec(doc, default_deadline, digests)?;
     Ok(Request::Work {
         cmd: "run",
-        cache_key,
-        kind,
+        cache_key: spec.cache_key.clone(),
+        spec: WorkSpec::Run(spec),
     })
 }
 
@@ -1564,7 +1649,11 @@ fn expand_sweep(sweep: &JsonValue) -> Result<Vec<JsonValue>, String> {
 /// as a per-job default. Structural problems (no jobs, both forms, over
 /// the cap) reject the request; a single malformed job spec only poisons
 /// its own slot.
-fn parse_batch(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
+fn parse_batch(
+    doc: &JsonValue,
+    default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
+) -> Result<Request, String> {
     let job_docs = match (doc.get("jobs"), doc.get("sweep")) {
         (Some(_), Some(_)) => {
             return Err("\"jobs\" and \"sweep\" are mutually exclusive".into());
@@ -1587,18 +1676,21 @@ fn parse_batch(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Reque
             job_docs.len()
         ));
     }
-    let mut workloads = BTreeMap::new();
     let jobs = job_docs
         .iter()
         .map(|job| {
             merged_job_doc(job, doc)
-                .and_then(|merged| parse_run_spec(&merged, default_deadline, &mut workloads))
+                .and_then(|merged| parse_run_spec(&merged, default_deadline, digests))
         })
         .collect();
     Ok(Request::Batch { jobs })
 }
 
-fn parse_search(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
+fn parse_search(
+    doc: &JsonValue,
+    default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
+) -> Result<Request, String> {
     let bench = parse_wire_benchmark(doc)?;
     let scale = parse_wire_scale(doc)?;
     let k = parse_wire_k(doc)?;
@@ -1606,85 +1698,125 @@ fn parse_search(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Requ
     let full = field_bool(doc, "full", false)?;
     let deadline = parse_wire_deadline(doc, default_deadline)?;
     let no_cache = field_bool(doc, "no_cache", false)?;
-    let workload = Arc::new(Workload::prepare(bench, scale, k));
+    let graph = digests.graph(bench, scale);
     let space = if full {
         PlanSearchSpace::table3(k)
     } else {
         PlanSearchSpace::quick(k)
     };
-    let plans = space.enumerate(&workload.a);
-    let config = Arc::new(SystemConfig::scaled(pes));
-    let jobs: Vec<Job> = plans
-        .iter()
-        .map(|&plan| {
-            Job::new(&workload, &config, Primitive::Spmm, plan).with_deadline_cycles(deadline)
-        })
-        .collect();
-    let cache_key = (!no_cache).then(|| search_cache_key(&jobs));
+    let spec = SearchSpec {
+        plans: space.enumerate_for_cols(graph.digest.num_cols()),
+        graph,
+        k,
+        pes,
+        deadline,
+    };
     Ok(Request::Work {
         cmd: "search",
-        cache_key,
-        kind: WorkKind::Search {
-            benchmark: bench.short_name().to_string(),
-            jobs,
-            plans,
-            k,
-            pes,
-        },
+        cache_key: (!no_cache).then(|| spec.cache_key()),
+        spec: WorkSpec::Search(spec),
     })
 }
 
-/// A search result is a pure function of its candidate set, so its key
-/// is a digest over every candidate's content-addressed key (prefixed
-/// `s` to keep run and search entries in distinct key spaces).
-fn search_cache_key(jobs: &[Job]) -> String {
-    let absorb = |h: &mut Fnv64| {
-        h.write(b"search:v1");
-        for job in jobs {
-            h.write(job.cache_key().as_bytes());
+/// One parsed `search`: every candidate plan of the space on one graph.
+struct SearchSpec {
+    graph: Graph,
+    k: usize,
+    pes: usize,
+    plans: Vec<ExecutionPlan>,
+    deadline: Option<Cycle>,
+}
+
+impl SearchSpec {
+    /// The search's key (see [`MatrixDigest::search_key`]).
+    fn cache_key(&self) -> String {
+        self.graph.digest.search_key(
+            self.k,
+            &SystemConfig::scaled(self.pes),
+            &self.plans,
+            self.deadline,
+        )
+    }
+
+    /// The candidate jobs, prepared — only after the cache probe missed.
+    fn into_work(self) -> WorkKind {
+        let workload = self.graph.workload(self.k, &mut Workloads::new());
+        let config = Arc::new(SystemConfig::scaled(self.pes));
+        let jobs = self
+            .plans
+            .iter()
+            .map(|&plan| {
+                Job::new(&workload, &config, Primitive::Spmm, plan)
+                    .with_deadline_cycles(self.deadline)
+            })
+            .collect();
+        WorkKind::Search {
+            benchmark: self.graph.benchmark.short_name().to_string(),
+            jobs,
+            plans: self.plans,
+            k: self.k,
+            pes: self.pes,
         }
-    };
-    let mut lo = Fnv64::new();
-    absorb(&mut lo);
-    let mut hi = Fnv64::new();
-    hi.write_u64(0x5eed_5eed_5eed_5eed);
-    absorb(&mut hi);
-    format!("s{:016x}{:016x}", lo.finish(), hi.finish())
+    }
 }
 
 /// A `trace` request is a `run` request with trace capture forced on
 /// plus an optional telemetry `window` (cycles; default 256, `0`
-/// disables the telemetry lane). Keyed by [`Job::trace_cache_key`], so
+/// disables the telemetry lane). Keyed like [`Job::trace_cache_key`], so
 /// a repeated trace is a cache hit with byte-identical trace JSON.
-fn parse_trace(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
-    let bench = parse_wire_benchmark(doc)?;
-    let scale = parse_wire_scale(doc)?;
-    let k = parse_wire_k(doc)?;
-    let pes = parse_wire_pes(doc)?;
-    let kernel = parse_wire_kernel(doc)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
-    let no_cache = field_bool(doc, "no_cache", false)?;
+fn parse_trace(
+    doc: &JsonValue,
+    default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
+) -> Result<Request, String> {
+    let run = parse_run_spec(doc, default_deadline, digests)?;
     let window = field_u64(doc, "window")?.unwrap_or(256);
-    let workload = Arc::new(Workload::prepare(bench, scale, k));
-    let plan = parse_wire_plan(doc, &workload.a)?;
-    let config = Arc::new(SystemConfig::scaled(pes));
-    let job = Job::new(&workload, &config, kernel, plan)
-        .with_deadline_cycles(deadline)
-        .with_telemetry((window > 0).then_some(window))
-        .with_trace(true);
-    let cache_key = (!no_cache).then(|| job.trace_cache_key());
+    let cache_key = run
+        .cache_key
+        .as_deref()
+        .map(|key| trace_key(key, telemetry_window(window)));
     Ok(Request::Work {
         cmd: "trace",
         cache_key,
-        kind: WorkKind::Trace {
-            job: Box::new(job),
-            benchmark: bench.short_name().to_string(),
-            kernel,
-            k,
-            pes,
-            window,
-        },
+        spec: WorkSpec::Trace { run, window },
     })
+}
+
+/// The telemetry window a trace `window` asks for (`0`: none).
+fn telemetry_window(window: u64) -> Option<Cycle> {
+    (window > 0).then_some(window)
+}
+
+/// A parsed `run`/`trace`/`search`/`query` before its cache probe:
+/// [`WorkSpec::prepare`] turns it into admitted work, and only a miss
+/// calls it.
+enum WorkSpec {
+    Run(RunSpec),
+    Trace { run: RunSpec, window: u64 },
+    Search(SearchSpec),
+    Query(QueryFilter),
+}
+
+impl WorkSpec {
+    fn prepare(self) -> WorkKind {
+        match self {
+            WorkSpec::Run(run) => run.into_work(&mut Workloads::new()).0,
+            WorkSpec::Trace { run, window } => WorkKind::Trace {
+                job: Box::new(
+                    run.job(&mut Workloads::new())
+                        .with_telemetry(telemetry_window(window))
+                        .with_trace(true),
+                ),
+                benchmark: run.graph.benchmark.short_name().to_string(),
+                kernel: run.kernel,
+                k: run.k,
+                pes: run.pes,
+                window,
+            },
+            WorkSpec::Search(search) => search.into_work(),
+            WorkSpec::Query(filter) => WorkKind::Query { filter },
+        }
+    }
 }
 
 /// The catalog dimension a `query` aggregation groups on.
@@ -1785,19 +1917,17 @@ fn parse_query(doc: &JsonValue) -> Result<Request, String> {
     Ok(Request::Work {
         cmd: "query",
         cache_key: None,
-        kind: WorkKind::Query {
-            filter: QueryFilter {
-                benchmark,
-                kernel,
-                kind,
-                k: field_u64(doc, "k")?,
-                pes: field_u64(doc, "pes")?,
-                min_cycles: field_u64(doc, "min_cycles")?,
-                max_cycles: field_u64(doc, "max_cycles")?,
-                limit,
-                group_by,
-            },
-        },
+        spec: WorkSpec::Query(QueryFilter {
+            benchmark,
+            kernel,
+            kind,
+            k: field_u64(doc, "k")?,
+            pes: field_u64(doc, "pes")?,
+            min_cycles: field_u64(doc, "min_cycles")?,
+            max_cycles: field_u64(doc, "max_cycles")?,
+            limit,
+            group_by,
+        }),
     })
 }
 
@@ -2452,6 +2582,49 @@ pub fn install_termination_handler() {
 #[cfg(not(unix))]
 pub fn install_termination_handler() {}
 
+/// Blocks until `listener` has a connection waiting or `timeout` passes,
+/// through `poll(2)` — declared here like `signal(2)` above, since std
+/// links libc on Unix already. Any early return (a signal, an error) is
+/// harmless: the caller retries `accept` and re-checks the shutdown flag.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+    let mut entry = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `entry` is a valid `struct pollfd` (repr(C), libc layout)
+    // that outlives the call, and `nfds` = 1 matches its length; poll only
+    // writes its `revents`. The descriptor belongs to `listener`, which is
+    // borrowed for the whole call, so it stays open.
+    unsafe {
+        poll(&mut entry, 1, timeout_ms);
+    }
+}
+
+/// Off Unix the accept loop sleeps out the bound instead.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
@@ -2540,5 +2713,58 @@ impl ServiceClient {
     /// need to send partial or garbage frames.
     pub fn raw_writer(&mut self) -> &mut TcpStream {
         &mut self.writer
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Wire plan fields: the base plan, a small-row-panel victim plan, an
+    /// explicit full-width column panel, and barriers.
+    const PLANS: [&str; 4] = [
+        "",
+        r#","rp":4,"rmatrix":"victim""#,
+        r#","cp":"all""#,
+        r#","barriers":true"#,
+    ];
+
+    #[test]
+    fn digest_keys_equal_job_keys() {
+        let deadline = ServiceConfig::default().default_deadline_cycles;
+        let config = Arc::new(SystemConfig::scaled(56));
+        for bench in Benchmark::ALL {
+            let w = Arc::new(Workload::prepare(bench, Scale::Tiny, 32));
+            // The graph's first request computes its digest; every later
+            // one reads it from the table.
+            let digests = KeyDigests::default();
+            let mut workloads = Workloads::new();
+            let docs = ["spmm", "sddmm"].into_iter().flat_map(|kernel| {
+                PLANS.map(|plan| {
+                    JsonValue::parse(&format!(
+                        r#"{{"benchmark":"{}","kernel":"{kernel}"{plan}}}"#,
+                        bench.short_name()
+                    ))
+                    .expect("request document")
+                })
+            });
+            for doc in docs {
+                let job = Job::new(
+                    &w,
+                    &config,
+                    parse_wire_kernel(&doc).expect("kernel"),
+                    parse_wire_plan(&doc, w.a.num_cols()).expect("plan"),
+                )
+                .with_deadline_cycles(deadline);
+                let want = job.cache_key();
+                let spec = parse_run_spec(&doc, deadline, &digests).expect("spec");
+                let context = doc.render();
+                assert_eq!(spec.cache_key.as_deref(), Some(want.as_str()), "{context}");
+                // The job a miss prepares names the same entry.
+                let prepared = spec.job(&mut workloads);
+                assert_eq!(prepared.cache_key(), want, "{context}");
+            }
+            assert_eq!(digests.0.lock().expect("digest table").len(), 1);
+        }
     }
 }

@@ -1524,3 +1524,81 @@ fn loaded_model_drives_advise_and_lands_in_metrics() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Key digests: a restarted daemon serves hits from its first request on
+// ---------------------------------------------------------------------------
+
+/// The key and raw result bytes of a single-job reply.
+fn key_and_result(raw: &str) -> (String, String) {
+    let doc = parse(raw);
+    assert_eq!(
+        doc.get("cached").and_then(JsonValue::as_bool),
+        Some(true),
+        "not a cache hit: {raw}"
+    );
+    let key = doc.get("key").and_then(JsonValue::as_str).expect("key");
+    (key.to_string(), raw_result_slice(raw, 0).to_string())
+}
+
+#[test]
+fn restarted_daemon_hits_on_a_graphs_first_and_later_requests() {
+    // A restarted daemon knows no graph: the first request naming one
+    // computes its key digest, later ones read it from the table. Both
+    // must hit the entries the earlier daemon stored, with its keys and
+    // bytes, as a `run`, as a `batch` slot and as a `search`.
+    const RUN_MYC: &str = r#"{"cmd":"run","benchmark":"myc","k":16,"pes":4}"#;
+    const RUN_KRO: &str = r#"{"cmd":"run","benchmark":"kro","k":16,"pes":4}"#;
+    const SEARCH_MYC: &str = r#"{"cmd":"search","benchmark":"myc","k":16,"pes":4}"#;
+    const SEARCH_DEL: &str = r#"{"cmd":"search","benchmark":"del","k":16,"pes":4}"#;
+    const BATCH_KRO_MYC: &str = concat!(
+        r#"{"cmd":"batch","k":16,"pes":4,"jobs":["#,
+        r#"{"benchmark":"kro"},{"benchmark":"myc"}]}"#
+    );
+    let dir = std::env::temp_dir().join(format!("spade_svc_digest_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    let mut stored = std::collections::BTreeMap::new();
+    for req in [RUN_MYC, RUN_KRO, SEARCH_MYC, SEARCH_DEL] {
+        let raw = client.request_line(req).expect("cold request");
+        let doc = parse(&raw);
+        assert_eq!(doc.get("cached").and_then(JsonValue::as_bool), Some(false));
+        let key = doc.get("key").and_then(JsonValue::as_str).expect("key");
+        stored.insert(
+            req,
+            (key.to_string(), raw_result_slice(&raw, 0).to_string()),
+        );
+    }
+    shutdown_and_join(&addr, handle);
+
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("reconnect");
+    let mut request = |req: &str| client.request_line(req).expect("warm request");
+    // MYC's and DEL's first sights, as a run and as a search.
+    assert_eq!(key_and_result(&request(RUN_MYC)), stored[RUN_MYC]);
+    assert_eq!(key_and_result(&request(SEARCH_DEL)), stored[SEARCH_DEL]);
+    // A batch whose first slot is KRO's first sight and whose second
+    // reads MYC's digest from the table.
+    let batch = request(BATCH_KRO_MYC);
+    let doc = parse(&batch);
+    assert_eq!(batch_count(&doc, "cached"), 2, "{batch}");
+    for (i, (job, req)) in jobs_of(&doc).iter().zip([RUN_KRO, RUN_MYC]).enumerate() {
+        let at = batch.find(&format!("{{\"index\":{i},")).expect("slot");
+        assert_eq!(
+            job.get("key").and_then(JsonValue::as_str),
+            Some(stored[req].0.as_str())
+        );
+        assert!(raw_result_slice(&batch, at) == stored[req].1, "slot {i}");
+    }
+    // Later sights of every graph, as a run and as a search.
+    assert_eq!(key_and_result(&request(RUN_KRO)), stored[RUN_KRO]);
+    assert_eq!(key_and_result(&request(SEARCH_MYC)), stored[SEARCH_MYC]);
+    assert_eq!(key_and_result(&request(SEARCH_DEL)), stored[SEARCH_DEL]);
+
+    let summary = shutdown_and_join(&addr, handle);
+    let cache = summary.cache.expect("cache stats");
+    assert_eq!((cache.hits, cache.misses, cache.stores), (7, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}

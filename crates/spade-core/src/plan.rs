@@ -57,12 +57,18 @@ impl ExecutionPlan {
     ///
     /// Returns [`SpadeError::Matrix`] if the matrix has zero columns.
     pub fn spmm_base(a: &Coo) -> Result<Self, SpadeError> {
-        Ok(ExecutionPlan {
-            tiling: TilingConfig::new(256, a.num_cols().max(1))?,
+        Ok(Self::base_for_cols(a.num_cols()))
+    }
+
+    /// The Base plan of [`ExecutionPlan::spmm_base`] for a matrix with
+    /// `num_cols` columns, the only property of the matrix it depends on.
+    pub fn base_for_cols(num_cols: usize) -> Self {
+        ExecutionPlan {
+            tiling: TilingConfig::new(256, num_cols.max(1)).expect("both panel sizes are positive"),
             r_policy: RMatrixPolicy::Cache,
             c_policy: CMatrixPolicy::Cache,
             barriers: BarrierPolicy::None,
-        })
+        }
     }
 
     /// The SPADE Base plan for SDDMM — identical knob settings.
@@ -152,8 +158,15 @@ impl PlanSearchSpace {
     /// Column panel sizes are clamped to the matrix width, and duplicate
     /// plans (after clamping) are removed.
     pub fn enumerate(&self, a: &Coo) -> Vec<ExecutionPlan> {
+        self.enumerate_for_cols(a.num_cols())
+    }
+
+    /// Enumerates the space for a matrix with `num_cols` columns, the only
+    /// property of the matrix the space depends on (see
+    /// [`PlanSearchSpace::enumerate`]).
+    pub fn enumerate_for_cols(&self, num_cols: usize) -> Vec<ExecutionPlan> {
         let mut plans = Vec::new();
-        let ncols = a.num_cols().max(1);
+        let ncols = num_cols.max(1);
         for &rp in &self.row_panels {
             for &cp_raw in &self.col_panels {
                 let cp = cp_raw.min(ncols);

@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test --workspace -q
 
+echo "== benchmark crate tests (perfbench, release)"
+# perfbench is a workspace of its own that links spade-bench's public
+# API; building and testing it here catches a break in that API before
+# the benchmark runs.
+cargo test --release --manifest-path perfbench/Cargo.toml \
+  --target-dir target/perfbench -q
+
 echo "== fault-injection stress (release, auditor on)"
 SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
 
