@@ -36,7 +36,7 @@ use spade_core::JsonValue;
 
 /// On-disk entry format version. Bump on any layout or payload-schema
 /// change: old entries then quarantine cleanly instead of being misread.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Entry-file magic. The trailing byte doubles as a format epoch guard:
 /// a file that is not even ours never reaches version checking.

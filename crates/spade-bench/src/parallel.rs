@@ -183,13 +183,6 @@ pub struct Job {
     /// oracle for the memory-fastpath-equivalence tests and the memory
     /// microbenchmark.
     pub slow_mem_path: bool,
-    /// Host shard count for the event-driven driver (see
-    /// [`SpadeSystem::set_shards`]): `None` (the default) inherits the
-    /// `SPADE_SIM_SHARDS` environment default, `Some(n)` pins it. Sharding
-    /// never changes a job's outputs — but it does consume host threads,
-    /// so the runner divides its worker budget by the sweep's largest
-    /// shard count (one `SPADE_THREADS` budget across both axes).
-    pub shards: Option<usize>,
     /// Hard ceiling on simulated cycles, riding the watchdog's
     /// [`spade_core::WatchdogConfig::max_cycles`]: a job that exceeds it
     /// fails with a structured deadlock/deadline error instead of running
@@ -230,7 +223,6 @@ impl Job {
             trace: false,
             naive_loop: false,
             slow_mem_path: false,
-            shards: None,
             deadline_cycles: None,
         }
     }
@@ -260,13 +252,6 @@ impl Job {
         self
     }
 
-    /// Pins the intra-run shard count for this job (builder style);
-    /// `None` inherits the `SPADE_SIM_SHARDS` environment default.
-    pub fn with_shards(mut self, shards: Option<usize>) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Bounds this job to `cycles` simulated cycles (builder style): the
     /// watchdog cycle ceiling fires a structured error past the deadline.
     pub fn with_deadline_cycles(mut self, cycles: Option<Cycle>) -> Self {
@@ -291,7 +276,6 @@ impl Job {
         bool,
         bool,
         bool,
-        Option<usize>,
         Option<Cycle>,
     ) {
         (
@@ -303,9 +287,6 @@ impl Job {
             self.trace,
             self.naive_loop,
             self.slow_mem_path,
-            // Sharding never changes outputs, but equivalence sweeps rely
-            // on each shard count actually executing — keep them distinct.
-            self.shards,
             self.deadline_cycles,
         )
     }
@@ -320,10 +301,9 @@ impl Job {
     /// restarts and hosts.
     ///
     /// Observability options (telemetry, trace) and host-execution knobs
-    /// (naive loop, slow memory path, shards) are deliberately excluded:
-    /// none of them change a report's simulated bytes (pinned by the
-    /// scheduler/memory/shard equivalence suites), and the cache stores
-    /// reports only.
+    /// (naive loop, slow memory path) are deliberately excluded: neither
+    /// changes a report's simulated bytes (pinned by the scheduler and
+    /// memory equivalence suites), and the cache stores reports only.
     pub fn cache_key(&self) -> String {
         MatrixDigest::of(&self.workload.a).run_key(
             self.workload.k,
@@ -376,11 +356,6 @@ impl Job {
             // Only force the slow path; leaving the default in place keeps
             // the SPADE_MEM_SLOW_PATH environment veto effective.
             sys.set_mem_fast_path(false);
-        }
-        if let Some(shards) = self.shards {
-            // Only pin an explicit request; the default already honors
-            // the SPADE_SIM_SHARDS environment variable.
-            sys.set_shards(shards);
         }
         if let Some(deadline) = self.deadline_cycles {
             sys.set_watchdog(spade_core::WatchdogConfig {
@@ -619,11 +594,7 @@ impl ParallelRunner {
             }
         }
 
-        // One host-thread budget across both parallelism axes: a sweep of
-        // n-shard jobs gets `threads / n` workers, so inter-job workers ×
-        // intra-run shards never oversubscribes `SPADE_THREADS`.
-        let workers = self.budgeted_workers(jobs);
-        let results = ParallelRunner::new(workers).run_tasks(unique.len(), |i| {
+        let results = self.run_tasks(unique.len(), |i| {
             unique[i].try_execute_full().map_err(|e| e.message)
         });
         let results: Vec<Result<JobOutput, JobError>> = results
@@ -643,20 +614,6 @@ impl ParallelRunner {
             .into_iter()
             .map(|i| results[i].clone())
             .collect()
-    }
-
-    /// The inter-job worker count for `jobs` under the shared thread
-    /// budget: the runner's thread count divided by the largest intra-run
-    /// shard count any job requests (explicitly or through the
-    /// `SPADE_SIM_SHARDS` default), floored at one worker.
-    fn budgeted_workers(&self, jobs: &[Job]) -> usize {
-        let env_shards = spade_core::sim_shards_from_env();
-        let max_shards = jobs
-            .iter()
-            .map(|j| j.shards.unwrap_or(env_shards).max(1))
-            .max()
-            .unwrap_or(1);
-        (self.threads / max_shards).max(1)
     }
 
     /// Runs `count` independent tasks across the worker pool and returns
@@ -802,44 +759,6 @@ mod tests {
         // constructor clamp instead.
         assert_eq!(ParallelRunner::new(0).threads(), 1);
         assert_eq!(ParallelRunner::new(7).threads(), 7);
-    }
-
-    #[test]
-    fn shards_and_workers_share_one_thread_budget() {
-        let (w, cfg) = setup();
-        let plan = machines::base_plan(&w.a);
-        let job = |shards| Job::new(&w, &cfg, Primitive::Spmm, plan).with_shards(Some(shards));
-        let runner = ParallelRunner::new(8);
-        // workers × shards stays within the budget.
-        assert_eq!(runner.budgeted_workers(&[job(1)]), 8);
-        assert_eq!(runner.budgeted_workers(&[job(4)]), 2);
-        assert_eq!(runner.budgeted_workers(&[job(1), job(4)]), 2);
-        // Shards beyond the budget still get one worker, never zero.
-        assert_eq!(runner.budgeted_workers(&[job(16)]), 1);
-        assert_eq!(ParallelRunner::new(1).budgeted_workers(&[job(4)]), 1);
-    }
-
-    #[test]
-    fn sharded_jobs_match_sequential_jobs() {
-        let w = Arc::new(Workload::prepare(Benchmark::Myc, Scale::Tiny, 32));
-        let cfg = Arc::new(machines::spade_system(8)); // two clusters
-        let base = Job::new(&w, &cfg, Primitive::Spmm, machines::base_plan(&w.a))
-            .with_telemetry(Some(128))
-            .with_trace(true);
-        let jobs = [base.clone().with_shards(Some(1)), base.with_shards(Some(2))];
-        let outs = ParallelRunner::new(2).run_outputs(&jobs);
-        let seq = outs[0].as_ref().unwrap();
-        let sh = outs[1].as_ref().unwrap();
-        assert_eq!(seq.report, sh.report);
-        assert_eq!(
-            seq.telemetry.as_ref().unwrap().to_json().render(),
-            sh.telemetry.as_ref().unwrap().to_json().render()
-        );
-        assert_eq!(
-            seq.trace.as_ref().unwrap().to_chrome_json(),
-            sh.trace.as_ref().unwrap().to_chrome_json()
-        );
-        assert_eq!(sh.report.shards, 2);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spade_core::{JsonValue, Primitive, SystemConfig};
-use spade_matrix::generators::{Benchmark, Scale};
+use spade_matrix::generators::Scale;
 use spade_matrix::rng::Rng64;
 use spade_sim::{AccessPath, Cycle, DataClass, Line, MemorySystem, LINE_BYTES};
 
@@ -252,100 +252,6 @@ pub fn mem_microbench(pes: usize, ops_per_pattern: u64) -> Result<Vec<MemBenchRo
     Ok(rows)
 }
 
-/// One sharded-driver measurement: the same simulation at a given host
-/// shard count, with the throughput it achieved. The report is checked
-/// bit-identical to the 1-shard run before the row is produced.
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    /// Host shards the run was partitioned into (after cluster clamping).
-    pub shards: u32,
-    /// Simulated cycles (identical across shard counts by construction).
-    pub cycles: u64,
-    /// Simulated cycles per host second at this shard count.
-    pub cps: f64,
-    /// Per-shard busy wall nanoseconds, for attributing imbalance.
-    pub shard_wall_ns: Vec<f64>,
-}
-
-impl ShardRow {
-    /// This row's throughput over the given 1-shard baseline; zero if the
-    /// baseline is unmeasurable.
-    pub fn speedup_over(&self, baseline_cps: f64) -> f64 {
-        if baseline_cps > 0.0 {
-            self.cps / baseline_cps
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The shard counts the shard-scaling bench sweeps by default.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Runs the shard-scaling bench: one fig12-style high-reuse workload
-/// (`kron_g500`, the suite's most parallel-friendly graph) simulated once
-/// per entry of `shard_counts` under the sharded driver, on the calling
-/// thread so wall times are uncontended. The PE count is raised to at
-/// least four clusters so a 4-shard split actually exists. Every run's
-/// report must be bit-identical to the 1-shard run — the bench doubles as
-/// an equivalence check on each invocation, like [`measure`] and
-/// [`mem_microbench`].
-///
-/// Returns no rows when `shard_counts` is empty (shard bench disabled).
-///
-/// # Errors
-///
-/// Returns a message if any simulation fails or any shard count's report
-/// diverges from the 1-shard baseline.
-pub fn shard_bench(
-    pes: usize,
-    scale: Scale,
-    k: usize,
-    shard_counts: &[usize],
-) -> Result<Vec<ShardRow>, String> {
-    if shard_counts.is_empty() {
-        return Ok(Vec::new());
-    }
-    let probe = machines::spade_system(pes);
-    let min_pes = 4 * probe.mem.agents_per_cluster;
-    let cfg = Arc::new(if pes >= min_pes {
-        probe
-    } else {
-        machines::spade_system(min_pes)
-    });
-    let w = Arc::new(Workload::prepare(Benchmark::Kro, scale, k));
-    let mut rows: Vec<ShardRow> = Vec::new();
-    let mut baseline: Option<spade_core::RunReport> = None;
-    for &s in shard_counts {
-        let job = Job::new(&w, &cfg, Primitive::Spmm, machines::base_plan(&w.a))
-            .with_shards(Some(s.max(1)));
-        let report = job.try_execute().map_err(|e| e.to_string())?;
-        if let Some(base) = &baseline {
-            if &report != base {
-                return Err(format!(
-                    "sharded driver diverged at {s} shards: {} cycles vs {} at 1 shard",
-                    report.cycles, base.cycles
-                ));
-            }
-        } else if s == 1 {
-            baseline = Some(report.clone());
-        }
-        rows.push(ShardRow {
-            shards: report.shards,
-            cycles: report.cycles,
-            cps: report.sim_cycles_per_host_sec(),
-            shard_wall_ns: report.shard_wall_ns.clone(),
-        });
-        if baseline.is_none() {
-            return Err(format!(
-                "shard bench must start with 1 shard to establish the \
-                 equivalence baseline, got {s}"
-            ));
-        }
-    }
-    Ok(rows)
-}
-
 /// A complete `bench-perf` result: the per-row measurements plus the
 /// context needed to reproduce them.
 #[derive(Debug, Clone)]
@@ -364,13 +270,6 @@ pub struct PerfSummary {
     pub mem_ops: u64,
     /// One row per memory-microbenchmark pattern.
     pub mem_rows: Vec<MemBenchRow>,
-    /// Host cores available to this process when the shard bench ran —
-    /// the context a shard-speedup gate needs to decide whether a missed
-    /// target means a regression or just a small machine.
-    pub host_cores: usize,
-    /// One row per shard count in the shard-scaling bench (empty when it
-    /// was disabled).
-    pub shard_rows: Vec<ShardRow>,
 }
 
 impl PerfSummary {
@@ -414,37 +313,6 @@ impl PerfSummary {
         geomean(&self.mem_rows.iter().map(|r| r.slow_aps).collect::<Vec<_>>())
     }
 
-    /// Host throughput of the 1-shard row of the shard bench (zero when
-    /// the bench was disabled or has no 1-shard row).
-    pub fn shard_baseline_cps(&self) -> f64 {
-        self.shard_rows
-            .iter()
-            .find(|r| r.shards == 1)
-            .map_or(0.0, |r| r.cps)
-    }
-
-    /// Speedup of the highest-shard-count row over the 1-shard baseline —
-    /// the number the `--gate-shard-speedup` CI gate checks. Zero when the
-    /// shard bench was disabled or never scaled past one shard.
-    ///
-    /// Rows with more shards than the host has cores are *undersubscribed*
-    /// — their threads time-slice instead of running in parallel, so their
-    /// "speedup" measures the host, not the sharded driver — and are
-    /// excluded here (they still appear in the JSON rows, flagged).
-    pub fn max_shard_speedup(&self) -> f64 {
-        let base = self.shard_baseline_cps();
-        self.shard_rows
-            .iter()
-            .filter(|r| r.shards > 1 && !self.undersubscribed(r))
-            .max_by_key(|r| r.shards)
-            .map_or(0.0, |r| r.speedup_over(base))
-    }
-
-    /// `true` when `row` ran with more shards than the host has cores.
-    fn undersubscribed(&self, row: &ShardRow) -> bool {
-        row.shards as usize > self.host_cores
-    }
-
     /// The summary as the `BENCH_sim.json` document.
     pub fn to_json(&self) -> JsonValue {
         let rows: Vec<JsonValue> = self
@@ -478,34 +346,6 @@ impl PerfSummary {
             ),
             ("workloads", JsonValue::Array(rows)),
             ("mem_microbench", self.mem_json()),
-            ("sim_shard", self.shard_json()),
-        ])
-    }
-
-    /// The `"sim_shard"` section of the JSON document.
-    fn shard_json(&self) -> JsonValue {
-        let base = self.shard_baseline_cps();
-        let rows: Vec<JsonValue> = self
-            .shard_rows
-            .iter()
-            .map(|r| {
-                JsonValue::object([
-                    ("shards", r.shards.into()),
-                    ("cycles", r.cycles.into()),
-                    ("sim_cycles_per_host_sec", r.cps.into()),
-                    ("speedup", r.speedup_over(base).into()),
-                    ("undersubscribed", self.undersubscribed(r).into()),
-                    (
-                        "shard_wall_ns",
-                        JsonValue::Array(r.shard_wall_ns.iter().map(|&w| w.into()).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::object([
-            ("host_cores", self.host_cores.into()),
-            ("max_shard_speedup", self.max_shard_speedup().into()),
-            ("rows", JsonValue::Array(rows)),
         ])
     }
 
@@ -587,20 +427,18 @@ pub fn measure(
 }
 
 /// Runs the full Figure 9 suite (both kernels) at `scale`, plus the
-/// memory microbenchmark at `mem_ops` accesses per pattern and the
-/// shard-scaling bench over `shard_counts`, and returns the summary ready
-/// to serialize as `BENCH_sim.json`. Passing `mem_ops == 0` skips the
-/// microbench; an empty `shard_counts` skips the shard bench.
+/// memory microbenchmark at `mem_ops` accesses per pattern, and returns
+/// the summary ready to serialize as `BENCH_sim.json`. Passing
+/// `mem_ops == 0` skips the microbench.
 ///
 /// # Errors
 ///
-/// See [`measure`], [`mem_microbench`] and [`shard_bench`].
+/// See [`measure`] and [`mem_microbench`].
 pub fn run_suite_perf(
     scale: Scale,
     k: usize,
     pes: usize,
     mem_ops: u64,
-    shard_counts: &[usize],
     runner: &ParallelRunner,
 ) -> Result<PerfSummary, String> {
     let workloads: Vec<Arc<Workload>> = Workload::suite(scale, k)
@@ -615,7 +453,6 @@ pub fn run_suite_perf(
         runner,
     )?;
     let mem_rows = mem_microbench(pes, mem_ops)?;
-    let shard_rows = shard_bench(pes, scale, k, shard_counts)?;
     Ok(PerfSummary {
         scale,
         k,
@@ -624,15 +461,7 @@ pub fn run_suite_perf(
         rows,
         mem_ops,
         mem_rows,
-        host_cores: host_cores(),
-        shard_rows,
     })
-}
-
-/// Host cores available to this process (1 when undetectable) — recorded
-/// in the summary and consulted by the shard-speedup gate.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One benchmark's advise measurement: selection latency of the tiered
@@ -938,25 +767,9 @@ mod tests {
                 line_filter_rate: 0.9,
                 page_reuse_rate: 0.95,
             }],
-            host_cores: 8,
-            shard_rows: vec![
-                ShardRow {
-                    shards: 1,
-                    cycles: 1000,
-                    cps: 1.0e6,
-                    shard_wall_ns: vec![500.0],
-                },
-                ShardRow {
-                    shards: 4,
-                    cycles: 1000,
-                    cps: 2.5e6,
-                    shard_wall_ns: vec![100.0, 110.0, 120.0, 130.0],
-                },
-            ],
         };
         assert!((summary.geomean_speedup() - 2.0).abs() < 1e-12);
         assert!((summary.geomean_mem_speedup() - 3.0).abs() < 1e-12);
-        assert!((summary.max_shard_speedup() - 2.5).abs() < 1e-12);
         let text = summary.to_json().render();
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
@@ -965,63 +778,6 @@ mod tests {
         assert!(text.contains("\"mem_microbench\""));
         assert!(text.contains("\"line_filter_rate\""));
         assert!(text.contains("\"pattern\":\"repeat\""));
-        assert!(text.contains("\"sim_shard\""));
-        assert!(text.contains("\"host_cores\":8"));
-        assert!(text.contains("\"max_shard_speedup\""));
-        assert!(text.contains("\"shards\":4"));
-    }
-
-    #[test]
-    fn undersubscribed_shard_rows_are_flagged_and_excluded() {
-        // A 1-core host "measuring" 4-shard speedup is measuring its own
-        // time-slicing; the row must be flagged and must not become
-        // max_shard_speedup.
-        let summary = PerfSummary {
-            scale: Scale::Tiny,
-            k: 32,
-            pes: 4,
-            threads: 1,
-            rows: Vec::new(),
-            mem_ops: 0,
-            mem_rows: Vec::new(),
-            host_cores: 1,
-            shard_rows: vec![
-                ShardRow {
-                    shards: 1,
-                    cycles: 1000,
-                    cps: 1.0e6,
-                    shard_wall_ns: Vec::new(),
-                },
-                ShardRow {
-                    shards: 2,
-                    cycles: 1000,
-                    cps: 0.2e6,
-                    shard_wall_ns: vec![100.0, 100.0],
-                },
-                ShardRow {
-                    shards: 4,
-                    cycles: 1000,
-                    cps: 0.14e6,
-                    shard_wall_ns: vec![100.0; 4],
-                },
-            ],
-        };
-        // Every >1-shard row is undersubscribed on a 1-core host, so no
-        // row qualifies: the headline metric is 0, not a bogus 0.14x.
-        assert_eq!(summary.max_shard_speedup(), 0.0);
-        let text = summary.to_json().render();
-        assert!(text.contains("\"undersubscribed\":true"));
-        assert!(text.contains("\"max_shard_speedup\":0"));
-        // On an 8-core host the same rows count again.
-        let wide = PerfSummary {
-            host_cores: 8,
-            ..summary
-        };
-        assert!((wide.max_shard_speedup() - 0.14).abs() < 1e-12);
-        assert!(wide
-            .to_json()
-            .render()
-            .contains("\"undersubscribed\":false"));
     }
 
     #[test]
@@ -1054,31 +810,6 @@ mod tests {
         assert!(text.contains("\"geomean_quality\""));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"source\""));
-    }
-
-    #[test]
-    fn shard_bench_rows_are_equivalent_and_measured() {
-        let rows = shard_bench(8, Scale::Tiny, 16, &[1, 2]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].shards, 1);
-        assert_eq!(rows[1].shards, 2);
-        // Bit-identity across shard counts is asserted inside shard_bench;
-        // the cycles columns agreeing is the visible consequence.
-        assert_eq!(rows[0].cycles, rows[1].cycles);
-        assert!(rows.iter().all(|r| r.cps > 0.0));
-        assert!(rows[0].shard_wall_ns.is_empty());
-        assert_eq!(rows[1].shard_wall_ns.len(), 2);
-    }
-
-    #[test]
-    fn shard_bench_requires_a_one_shard_baseline() {
-        let err = shard_bench(8, Scale::Tiny, 16, &[2, 4]).unwrap_err();
-        assert!(err.contains("baseline"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn empty_shard_counts_disable_the_shard_bench() {
-        assert!(shard_bench(8, Scale::Tiny, 16, &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -33,9 +33,8 @@
 //!   [`ResultCache`] keyed by [`Job::cache_key`] — content-addressed, so
 //!   the same experiment hits across restarts and processes. Cache hits
 //!   are byte-identical to a fresh simulation because response payloads
-//!   are *canonical*: `host_wall_ns`, `shards` and `shard_wall_ns` — host
-//!   properties, excluded from [`RunReport`] equality — are normalized
-//!   before rendering.
+//!   are *canonical*: `host_wall_ns` — a host property, excluded from
+//!   [`RunReport`] equality — is zeroed before rendering.
 //! * **Cheap hits.** Keys are derived from a per-graph digest table
 //!   (`KeyDigests`), so a request on a graph the daemon has seen probes
 //!   the cache without generating the graph; only a miss prepares its
@@ -2163,16 +2162,13 @@ pub fn plan_json(p: &ExecutionPlan) -> JsonValue {
     ])
 }
 
-/// A report with its host-execution fields normalized: wall-clock times
-/// and shard layout describe the serving host, not the simulated
-/// machine (they are already excluded from [`RunReport`] equality), so
-/// the daemon zeroes them. This is what makes a cache hit byte-identical
+/// A report with its host wall-clock time zeroed: it describes the
+/// serving host, not the simulated machine (it is already excluded from
+/// [`RunReport`] equality). This is what makes a cache hit byte-identical
 /// to a fresh simulation of the same request.
 pub fn canonical_report(report: &RunReport) -> RunReport {
     let mut canon = report.clone();
     canon.host_wall_ns = 0.0;
-    canon.shards = 1;
-    canon.shard_wall_ns = Vec::new();
     canon
 }
 

@@ -9,8 +9,9 @@ use std::sync::Arc;
 use spade_bench::machines;
 use spade_bench::parallel::{Job, JobOutput, ParallelRunner};
 use spade_bench::suite::Workload;
-use spade_core::{ExecutionPlan, Primitive, SystemConfig};
+use spade_core::{BarrierPolicy, ExecutionPlan, Primitive, SystemConfig};
 use spade_matrix::generators::{Benchmark, Scale};
+use spade_matrix::TilingConfig;
 use spade_sim::FaultConfig;
 
 /// Serializes a job output to comparable byte strings: the simulated
@@ -30,18 +31,30 @@ fn observable_bytes(o: &JobOutput) -> (String, String) {
     (telemetry, trace)
 }
 
-/// Builds paired (event, naive) observed jobs for a fig9 subset on the
-/// given machine config.
-fn paired_jobs(cfg: &Arc<SystemConfig>) -> Vec<Job> {
+/// Builds paired (event, naive) observed jobs for a fig9 subset: base
+/// plans on an 8-PE machine, plus four column panels with a barrier after
+/// each on a 16-PE, 4-cluster machine, where every PE blocks at each
+/// barrier and a release wakes PEs in every cluster at once.
+fn paired_jobs() -> Vec<Job> {
+    let base_machine = Arc::new(machines::spade_system(8));
+    let barrier_machine = Arc::new(machines::spade_system(16));
     let mut jobs = Vec::new();
     for benchmark in [Benchmark::Myc, Benchmark::Kro, Benchmark::Roa] {
         let w = Arc::new(Workload::prepare(benchmark, Scale::Tiny, 32));
-        for primitive in [Primitive::Spmm, Primitive::Sddmm] {
-            let base = Job::new(&w, cfg, primitive, machines::base_plan(&w.a))
-                .with_telemetry(Some(128))
-                .with_trace(true);
-            jobs.push(base.clone());
-            jobs.push(base.with_naive_loop(true));
+        let base_plan = machines::base_plan(&w.a);
+        let barrier_plan = ExecutionPlan {
+            tiling: TilingConfig::new(8, w.a.num_cols().div_ceil(4)).unwrap(),
+            barriers: BarrierPolicy::per_column_panel(),
+            ..base_plan
+        };
+        for (cfg, plan) in [(&base_machine, base_plan), (&barrier_machine, barrier_plan)] {
+            for primitive in [Primitive::Spmm, Primitive::Sddmm] {
+                let job = Job::new(&w, cfg, primitive, plan)
+                    .with_telemetry(Some(128))
+                    .with_trace(true);
+                jobs.push(job.clone());
+                jobs.push(job.with_naive_loop(true));
+            }
         }
     }
     jobs
@@ -51,7 +64,13 @@ fn paired_jobs(cfg: &Arc<SystemConfig>) -> Vec<Job> {
 /// report, the telemetry bytes and the trace bytes.
 fn assert_pairs_identical(jobs: &[Job], outputs: &[JobOutput]) {
     for (pair, job) in outputs.chunks_exact(2).zip(jobs.chunks_exact(2)) {
-        let label = format!("{}/{:?}", job[0].workload.name, job[0].primitive);
+        let label = format!(
+            "{}/{:?}/{} PEs/barriers={}",
+            job[0].workload.name,
+            job[0].primitive,
+            job[0].config.num_pes,
+            job[0].plan.barriers.is_enabled()
+        );
         assert_eq!(
             pair[0].report, pair[1].report,
             "{label}: drivers disagree on the simulated report"
@@ -75,8 +94,7 @@ fn assert_pairs_identical(jobs: &[Job], outputs: &[JobOutput]) {
 
 #[test]
 fn drivers_agree_on_reports_telemetry_and_traces_across_thread_counts() {
-    let cfg = Arc::new(machines::spade_system(8));
-    let jobs = paired_jobs(&cfg);
+    let jobs = paired_jobs();
     let serial: Vec<JobOutput> = ParallelRunner::new(1)
         .run_outputs(&jobs)
         .into_iter()

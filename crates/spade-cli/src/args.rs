@@ -11,13 +11,15 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv` (after the subcommand). `switches` lists flags that
-    /// take no value.
+    /// Parses `argv` (after the subcommand) against the command's flags:
+    /// `values` lists the flags that take a value, `switches` those that
+    /// take none.
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown syntax or a flag missing its value.
-    pub fn parse(argv: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Returns a message for a positional argument, a flag the command
+    /// does not take, or a value flag missing its value.
+    pub fn parse(argv: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -28,12 +30,14 @@ impl Args {
             if switches.contains(&name) {
                 out.switches.push(name.to_string());
                 i += 1;
-            } else {
+            } else if values.contains(&name) {
                 let value = argv
                     .get(i + 1)
                     .ok_or_else(|| format!("--{name} needs a value"))?;
                 out.values.insert(name.to_string(), value.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag '--{name}'"));
             }
         }
         Ok(out)
@@ -74,7 +78,12 @@ mod tests {
 
     #[test]
     fn parses_values_and_switches() {
-        let a = Args::parse(&argv(&["--k", "32", "--json", "--pes", "56"]), &["json"]).unwrap();
+        let a = Args::parse(
+            &argv(&["--k", "32", "--json", "--pes", "56"]),
+            &["k", "pes"],
+            &["json"],
+        )
+        .unwrap();
         assert_eq!(a.get("k"), Some("32"));
         assert!(a.has("json"));
         assert_eq!(a.get_parsed("pes", 0usize).unwrap(), 56);
@@ -82,23 +91,34 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv(&["--k"]), &[]).is_err());
+        assert!(Args::parse(&argv(&["--k"]), &["k"], &[]).is_err());
     }
 
     #[test]
     fn positional_arguments_are_rejected() {
-        assert!(Args::parse(&argv(&["kro"]), &[]).is_err());
+        assert!(Args::parse(&argv(&["kro"]), &[], &[]).is_err());
+    }
+
+    #[test]
+    fn undeclared_flags_are_rejected_by_name() {
+        let err = Args::parse(&argv(&["--k", "32", "--bogus", "3"]), &["k"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--bogus'");
+        // A switch of the command is not a value flag, and vice versa.
+        let err = Args::parse(&argv(&["--json", "--k", "32"]), &["k"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag '--json'");
+        let err = Args::parse(&argv(&["--k"]), &[], &["json"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--k'");
     }
 
     #[test]
     fn defaults_apply_when_flag_absent() {
-        let a = Args::parse(&argv(&[]), &[]).unwrap();
+        let a = Args::parse(&argv(&[]), &["k"], &[]).unwrap();
         assert_eq!(a.get_parsed("k", 32usize).unwrap(), 32);
     }
 
     #[test]
     fn bad_parse_is_an_error() {
-        let a = Args::parse(&argv(&["--k", "abc"]), &[]).unwrap();
+        let a = Args::parse(&argv(&["--k", "abc"]), &["k"], &[]).unwrap();
         assert!(a.get_parsed("k", 0usize).is_err());
     }
 }

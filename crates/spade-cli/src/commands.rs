@@ -28,15 +28,15 @@ pub const USAGE: &str = "usage:
                    [--pes 56] [--scale tiny|small|default|large]
                    [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
                    [--barriers] [--format json|text] [--telemetry <window>]
-                   [--shards N] [--deadline-cycles N]
+                   [--deadline-cycles N]
   spade-cli trace  <name> [--kernel spmm|sddmm] [--k 32] [--pes 56]
-                   [--scale ...] [--window 256] [--out <file.trace.json>]
-                   [--shards N]
+                   [--scale ...] [--rp N] [--cp N|all] [--rmatrix ...]
+                   [--barriers] [--window 256] [--out <file.trace.json>]
   spade-cli advise --benchmark <name> [--k 32] [--pes 56] [--scale ...]
                    [--fast|--exact] [--model FILE] [--top-n 5] [--exhaustive]
                    [--format json|text]
   spade-cli search --benchmark <name> [--k 32] [--pes 56] [--scale ...] [--full]
-                   [--format json|text] [--telemetry <window>] [--shards N]
+                   [--format json|text] [--telemetry <window>]
                    [--deadline-cycles N]
   spade-cli mm     --file <matrix.mtx> [--k 32] [--pes 56] [--format json|text]
   spade-cli serve  [--addr 127.0.0.1:7700] [--cache-dir DIR] [--workers N]
@@ -63,7 +63,7 @@ pub const USAGE: &str = "usage:
                    [--format json|text]
   spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
                    [--mem-ops 200000] [--gate-speedup X] [--gate-mem-speedup X]
-                   [--shards 4] [--gate-shard-speedup X] [--out BENCH_sim.json]
+                   [--out BENCH_sim.json]
   spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
                    [--pes 56] [--scale ...] [--format json|text]
   spade-cli dataset export --cache-dir DIR [--out FILE]
@@ -152,24 +152,6 @@ fn parse_telemetry(args: &Args) -> Result<Option<Cycle>, String> {
     }
 }
 
-/// Parses `--shards <n>`: how many host shards to split the simulation
-/// across. `None` inherits `SPADE_SIM_SHARDS` (default 1); results are
-/// bit-identical at every shard count.
-fn parse_shards(args: &Args) -> Result<Option<usize>, String> {
-    match args.get("shards") {
-        None => Ok(None),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--shards: cannot parse '{v}'"))?;
-            if n == 0 {
-                return Err("--shards: need at least one shard".into());
-            }
-            Ok(Some(n))
-        }
-    }
-}
-
 /// Parses `--deadline-cycles <n>`: a hard ceiling on simulated cycles,
 /// riding the watchdog's `max_cycles` — a run past the deadline fails
 /// with a structured error instead of running forever.
@@ -197,7 +179,7 @@ fn parse_system(args: &Args) -> Result<SystemConfig, String> {
 }
 
 fn info(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["scale"], &[])?;
     let scale = parse_scale(&args)?;
     println!(
         "{:<6} {:<24} {:>8} {:>9} {:>8} {:>7}  RU",
@@ -308,7 +290,6 @@ fn execute_observed(
     plan: &ExecutionPlan,
     telemetry: Option<Cycle>,
     trace: bool,
-    shards: Option<usize>,
     deadline: Option<Cycle>,
 ) -> Result<JobOutput, String> {
     let w = Workload::from_matrix(name.to_string(), a.clone(), k);
@@ -320,7 +301,6 @@ fn execute_observed(
     )
     .with_telemetry(telemetry)
     .with_trace(trace)
-    .with_shards(shards)
     .with_deadline_cycles(deadline)
     .try_execute_full()
     .map_err(|e| e.to_string())
@@ -334,19 +314,7 @@ fn execute(
     kernel: Primitive,
     plan: &ExecutionPlan,
 ) -> Result<RunReport, String> {
-    execute_observed(
-        system_config,
-        a,
-        name,
-        k,
-        kernel,
-        plan,
-        None,
-        false,
-        None,
-        None,
-    )
-    .map(|o| o.report)
+    execute_observed(system_config, a, name, k, kernel, plan, None, false, None).map(|o| o.report)
 }
 
 fn print_report(report: &RunReport, json: bool, ctx: RunSummary<'_>) -> Result<(), String> {
@@ -404,14 +372,29 @@ fn parse_kernel(args: &Args) -> Result<Primitive, String> {
 }
 
 fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "benchmark",
+            "kernel",
+            "k",
+            "pes",
+            "scale",
+            "rp",
+            "cp",
+            "rmatrix",
+            "format",
+            "telemetry",
+            "deadline-cycles",
+        ],
+        &["barriers", "json"],
+    )?;
     let bench = parse_benchmark(&args)?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
     let kernel = parse_kernel(&args)?;
     let json = parse_format(&args)?;
     let telemetry = parse_telemetry(&args)?;
-    let shards = parse_shards(&args)?;
     let deadline = parse_deadline(&args)?;
     let system_config = parse_system(&args)?;
     let a = bench.generate(scale);
@@ -425,7 +408,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         &plan,
         telemetry,
         false,
-        shards,
         deadline,
     )?;
     print_report(
@@ -455,7 +437,22 @@ fn trace_cmd(argv: &[String]) -> Result<(), String> {
         Some(first) if !first.starts_with("--") => (Some(first.as_str()), &argv[1..]),
         _ => (None, argv),
     };
-    let args = Args::parse(rest, &[])?;
+    let args = Args::parse(
+        rest,
+        &[
+            "benchmark",
+            "kernel",
+            "k",
+            "pes",
+            "scale",
+            "rp",
+            "cp",
+            "rmatrix",
+            "window",
+            "out",
+        ],
+        &["barriers"],
+    )?;
     let bench = match positional {
         Some(name) => lookup_benchmark(name)?,
         None => parse_benchmark(&args)?,
@@ -464,7 +461,6 @@ fn trace_cmd(argv: &[String]) -> Result<(), String> {
     let k = parse_k(&args)?;
     let kernel = parse_kernel(&args)?;
     let system_config = parse_system(&args)?;
-    let shards = parse_shards(&args)?;
     let window: Cycle = args.get_parsed("window", 256)?;
     let telemetry = (window > 0).then_some(window);
     let a = bench.generate(scale);
@@ -478,7 +474,6 @@ fn trace_cmd(argv: &[String]) -> Result<(), String> {
         &plan,
         telemetry,
         true,
-        shards,
         None,
     )?;
     // The shared builder keeps local traces byte-identical to the
@@ -522,7 +517,11 @@ fn load_model_flag(args: &Args) -> Option<CostModel> {
 /// `--exhaustive`) and the measured optimum is reported as the
 /// `exhaustive` tier.
 fn advise_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["fast", "exact", "exhaustive", "json"])?;
+    let args = Args::parse(
+        argv,
+        &["benchmark", "k", "pes", "scale", "model", "top-n", "format"],
+        &["fast", "exact", "exhaustive", "json"],
+    )?;
     if args.has("fast") && args.has("exact") {
         return Err("--fast and --exact are mutually exclusive".into());
     }
@@ -613,13 +612,24 @@ fn advise_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn search(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["full", "json"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "benchmark",
+            "k",
+            "pes",
+            "scale",
+            "format",
+            "telemetry",
+            "deadline-cycles",
+        ],
+        &["full", "json"],
+    )?;
     let bench = parse_benchmark(&args)?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
     let json = parse_format(&args)?;
     let telemetry = parse_telemetry(&args)?;
-    let shards = parse_shards(&args)?;
     let deadline = parse_deadline(&args)?;
     let system_config = parse_system(&args)?;
     let a = bench.generate(scale);
@@ -642,7 +652,6 @@ fn search(argv: &[String]) -> Result<(), String> {
         .map(|&plan| {
             Job::new(&workload, &config, Primitive::Spmm, plan)
                 .with_telemetry(telemetry)
-                .with_shards(shards)
                 .with_deadline_cycles(deadline)
         })
         .collect();
@@ -721,7 +730,7 @@ fn search(argv: &[String]) -> Result<(), String> {
 }
 
 fn run_mm(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["file", "k", "pes", "format"], &["json"])?;
     let path = args.get("file").ok_or("--file is required")?;
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let a = mm::read_matrix_market(BufReader::new(file)).map_err(|e| e.to_string())?;
@@ -750,7 +759,20 @@ fn run_mm(argv: &[String]) -> Result<(), String> {
 /// SIGTERM/ctrl-c (or an in-band `shutdown` request) drains in-flight
 /// jobs, flushes the cache index and exits 0.
 fn serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["log-json"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "addr",
+            "cache-dir",
+            "workers",
+            "queue",
+            "max-connections",
+            "deadline-cycles",
+            "read-timeout-ms",
+            "model",
+        ],
+        &["log-json"],
+    )?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7700").to_string();
     let mut config = service::ServiceConfig::default();
     config.workers = args.get_parsed("workers", config.workers)?;
@@ -879,7 +901,7 @@ fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
 /// string) are folded to spaces — insignificant between JSON tokens,
 /// fatal to the framing.
 fn client_raw(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["addr", "request"], &[])?;
     let request = args
         .get("request")
         .ok_or("--request is required")?
@@ -892,7 +914,7 @@ fn client_raw(argv: &[String]) -> Result<(), String> {
 
 /// `client ping` / `client shutdown`: one command word, no payload.
 fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
     let json = parse_format(&args)?;
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let request = JsonValue::object([("cmd", cmd.into())]).render();
@@ -910,7 +932,7 @@ fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
 /// `client status`: the daemon's live state as a human table (or the
 /// raw response with `--format json`).
 fn client_status(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
     let json = parse_format(&args)?;
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let request = JsonValue::object([("cmd", "status".into())]).render();
@@ -963,7 +985,7 @@ fn client_status(argv: &[String]) -> Result<(), String> {
 /// snapshot — no HTTP endpoint anywhere), `--format json` the raw
 /// response, text a compact value listing.
 fn client_metrics(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "prom"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json", "prom"])?;
     let json = parse_format(&args)?;
     let prom = args.has("prom");
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
@@ -1005,13 +1027,21 @@ fn client_metrics(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `client query`: filter the daemon's cache dataset. Every filter flag
-/// is optional; matches come back sorted by (benchmark, kernel,
-/// cycles), so the first row per benchmark is its best plan.
-fn client_query(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "query".into())];
+/// The filter flags of `client query`, `agg` and `best-plans`.
+const QUERY_FILTERS: &[&str] = &[
+    "benchmark",
+    "kernel",
+    "kind",
+    "k",
+    "pes",
+    "min-cycles",
+    "max-cycles",
+    "limit",
+];
+
+/// Adds the [`QUERY_FILTERS`] given on the command line to a query
+/// request.
+fn push_query_filters(args: &Args, fields: &mut Vec<(&str, JsonValue)>) -> Result<(), String> {
     for key in ["benchmark", "kernel", "kind"] {
         if let Some(v) = args.get(key) {
             fields.push((key, v.into()));
@@ -1028,6 +1058,21 @@ fn client_query(argv: &[String]) -> Result<(), String> {
             fields.push((key, parse_flag_u64(flag, v)?.into()));
         }
     }
+    Ok(())
+}
+
+/// `client query`: filter the daemon's cache dataset. Every filter flag
+/// is optional; matches come back sorted by (benchmark, kernel,
+/// cycles), so the first row per benchmark is its best plan.
+fn client_query(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(
+        argv,
+        &[&["addr", "format"], QUERY_FILTERS].concat(),
+        &["json"],
+    )?;
+    let json = parse_format(&args)?;
+    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "query".into())];
+    push_query_filters(&args, &mut fields)?;
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let (response, doc) =
         client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
@@ -1113,7 +1158,23 @@ fn comma_list_u64(name: &str, v: &str) -> Result<Vec<JsonValue>, String> {
 /// fans the jobs out through its admission queue and replies once, with
 /// per-job payloads in job order.
 fn client_batch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "addr",
+            "format",
+            "benchmarks",
+            "kernels",
+            "k",
+            "pes",
+            "rp",
+            "cp",
+            "rmatrix",
+            "scale",
+            "deadline-cycles",
+        ],
+        &["json", "barriers", "no-cache"],
+    )?;
     let json = parse_format(&args)?;
     let mut sweep: Vec<(&str, JsonValue)> = Vec::new();
     let benchmarks = comma_list(
@@ -1243,7 +1304,11 @@ fn client_batch(argv: &[String]) -> Result<(), String> {
 /// `best-plans` is the preset `--group-by benchmark --kind run`, the
 /// best-plan-per-matrix fold EXPERIMENTS.md used to script client-side.
 fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(
+        argv,
+        &[&["addr", "format", "group-by"], QUERY_FILTERS].concat(),
+        &["json"],
+    )?;
     let json = parse_format(&args)?;
     let group_by = match (args.get("group-by"), preset_group_by) {
         (Some(v), _) => v,
@@ -1252,24 +1317,9 @@ fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), Stri
     };
     let mut fields: Vec<(&str, JsonValue)> =
         vec![("cmd", "query".into()), ("group_by", group_by.into())];
-    for key in ["benchmark", "kernel", "kind"] {
-        if let Some(v) = args.get(key) {
-            fields.push((key, v.into()));
-        }
-    }
+    push_query_filters(&args, &mut fields)?;
     if preset_group_by.is_some() && args.get("kind").is_none() {
         fields.push(("kind", "run".into()));
-    }
-    for (flag, key) in [
-        ("k", "k"),
-        ("pes", "pes"),
-        ("min-cycles", "min_cycles"),
-        ("max-cycles", "max_cycles"),
-        ("limit", "limit"),
-    ] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
-        }
     }
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let (response, doc) =
@@ -1335,10 +1385,23 @@ fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), Stri
     Ok(())
 }
 
+/// The value flags [`wire_job_fields`] reads.
+const WIRE_JOB_FLAGS: &[&str] = &[
+    "benchmark",
+    "scale",
+    "kernel",
+    "k",
+    "pes",
+    "rp",
+    "cp",
+    "rmatrix",
+    "deadline-cycles",
+];
+
 /// The wire fields shared by `client run|search|trace`, built from the
 /// same flags the local subcommands take. Validation happens
 /// server-side; the client only insists that numbers parse.
-fn wire_job_fields(args: &Args, cmd: &str) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn wire_job_fields(args: &Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
     let mut fields: Vec<(&'static str, JsonValue)> = Vec::new();
     fields.push((
         "benchmark",
@@ -1379,7 +1442,7 @@ fn wire_job_fields(args: &Args, cmd: &str) -> Result<Vec<(&'static str, JsonValu
     if args.has("no-cache") {
         fields.push(("no_cache", true.into()));
     }
-    if cmd == "search" && args.has("full") {
+    if args.has("full") {
         fields.push(("full", true.into()));
     }
     Ok(fields)
@@ -1387,10 +1450,19 @@ fn wire_job_fields(args: &Args, cmd: &str) -> Result<Vec<(&'static str, JsonValu
 
 /// `client run` / `client search`: submit one job to the daemon.
 fn client_job(argv: &[String], cmd: &'static str) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache", "full"])?;
+    let switches: &[&str] = if cmd == "search" {
+        &["json", "barriers", "no-cache", "full"]
+    } else {
+        &["json", "barriers", "no-cache"]
+    };
+    let args = Args::parse(
+        argv,
+        &[&["addr", "format"], WIRE_JOB_FLAGS].concat(),
+        switches,
+    )?;
     let json = parse_format(&args)?;
     let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", cmd.into())];
-    fields.extend(wire_job_fields(&args, cmd)?);
+    fields.extend(wire_job_fields(&args)?);
     let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let (response, doc) =
         client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
@@ -1458,7 +1530,11 @@ fn client_job(argv: &[String], cmd: &'static str) -> Result<(), String> {
 /// is answered on the connection thread, so it works even when every
 /// simulation worker is busy.
 fn client_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(
+        argv,
+        &["addr", "format", "benchmark", "scale", "k", "pes"],
+        &["json"],
+    )?;
     let json = parse_format(&args)?;
     let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "advise".into())];
     fields.push((
@@ -1514,10 +1590,14 @@ fn client_advise(argv: &[String]) -> Result<(), String> {
 /// `spade-cli trace` produces for the same job. Trace responses are one
 /// long line, so the read limit is raised well past the default.
 fn client_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache"])?;
+    let args = Args::parse(
+        argv,
+        &[&["addr", "format", "window", "out"], WIRE_JOB_FLAGS].concat(),
+        &["json", "barriers", "no-cache"],
+    )?;
     let json = parse_format(&args)?;
     let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "trace".into())];
-    fields.extend(wire_job_fields(&args, "trace")?);
+    fields.extend(wire_job_fields(&args)?);
     if let Some(v) = args.get("window") {
         fields.push(("window", parse_flag_u64("window", v)?.into()));
     }
@@ -1567,17 +1647,25 @@ fn client_trace(argv: &[String]) -> Result<(), String> {
 /// the memory-hierarchy microbenchmark (fast path on vs forced off), then
 /// writes the machine-readable summary (default `BENCH_sim.json`). The run
 /// doubles as an equivalence check: it fails if the two drivers disagree on
-/// any simulated metric, if the memory fast path diverges from the slow
-/// path on any completion cycle or statistic, or if the sharded driver's
-/// report differs from the sequential one at any shard count.
-/// `--gate-speedup`, `--gate-mem-speedup` and `--gate-shard-speedup` turn
-/// the run into a regression gate: the command fails (after writing the
-/// summary) when the respective figure falls below the given floor. The
-/// shard gate downgrades to a warning on hosts with fewer cores than the
-/// largest shard count — a 2-vCPU CI runner cannot demonstrate 4-shard
-/// scaling, and that is not a simulator regression.
+/// any simulated metric, or if the memory fast path diverges from the slow
+/// path on any completion cycle or statistic. `--gate-speedup` and
+/// `--gate-mem-speedup` turn the run into a regression gate: the command
+/// fails (after writing the summary) when the respective figure falls
+/// below the given floor.
 fn bench_perf(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "scale",
+            "k",
+            "pes",
+            "mem-ops",
+            "out",
+            "gate-speedup",
+            "gate-mem-speedup",
+        ],
+        &[],
+    )?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
     let pes: usize = args.get_parsed("pes", 56)?;
@@ -1587,26 +1675,10 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
     let mem_ops: u64 = args.get_parsed("mem-ops", 200_000)?;
     let gate_speedup: f64 = args.get_parsed("gate-speedup", 0.0)?;
     let gate_mem_speedup: f64 = args.get_parsed("gate-mem-speedup", 0.0)?;
-    let gate_shard_speedup: f64 = args.get_parsed("gate-shard-speedup", 0.0)?;
-    let max_shards: usize = match parse_shards(&args)? {
-        Some(n) => n,
-        None => *spade_bench::perf::SHARD_COUNTS.last().unwrap(),
-    };
-    // Powers of two up to --shards, always ending at --shards itself:
-    // `--shards 4` (the default) sweeps 1, 2, 4; `--shards 1` runs the
-    // 1-shard row only (the sweep still pins sharded==sequential there).
-    let mut shard_counts = vec![1usize];
-    while *shard_counts.last().unwrap() * 2 < max_shards {
-        shard_counts.push(shard_counts.last().unwrap() * 2);
-    }
-    if max_shards > 1 {
-        shard_counts.push(max_shards);
-    }
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
     let runner = ParallelRunner::from_env();
     let host_start = Instant::now();
-    let summary =
-        spade_bench::perf::run_suite_perf(scale, k, pes, mem_ops, &shard_counts, &runner)?;
+    let summary = spade_bench::perf::run_suite_perf(scale, k, pes, mem_ops, &runner)?;
     println!(
         "{:<6} {:<6} {:>12} {:>14} {:>14} {:>8}",
         "name", "kernel", "cycles", "event cyc/s", "naive cyc/s", "speedup"
@@ -1654,33 +1726,6 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
             summary.geomean_mem_speedup()
         );
     }
-    if !summary.shard_rows.is_empty() {
-        let base = summary.shard_baseline_cps();
-        println!(
-            "{:<7} {:>12} {:>14} {:>8}",
-            "shards", "cycles", "sim cyc/s", "speedup"
-        );
-        for r in &summary.shard_rows {
-            println!(
-                "{:<7} {:>12} {:>14.3e} {:>7.2}x",
-                r.shards,
-                r.cycles,
-                r.cps,
-                r.speedup_over(base)
-            );
-        }
-        println!(
-            "shard scaling: {:.2}x at {} shards ({} host cores)",
-            summary.max_shard_speedup(),
-            summary
-                .shard_rows
-                .iter()
-                .map(|r| r.shards)
-                .max()
-                .unwrap_or(1),
-            summary.host_cores
-        );
-    }
     std::fs::write(&out, summary.to_json().render()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");
     if gate_speedup > 0.0 && summary.geomean_speedup() < gate_speedup {
@@ -1704,41 +1749,6 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
             ));
         }
     }
-    if gate_shard_speedup > 0.0 {
-        if summary.shard_rows.len() < 2 {
-            return Err("gate failed: --gate-shard-speedup set but the shard \
-                 bench never scaled past one shard (--shards 1)"
-                .into());
-        }
-        let achieved = summary.max_shard_speedup();
-        let swept = summary
-            .shard_rows
-            .iter()
-            .map(|r| r.shards)
-            .max()
-            .unwrap_or(1) as usize;
-        if achieved < gate_shard_speedup {
-            // A host with fewer cores than shards cannot run the shards in
-            // parallel, so a missed target there says nothing about the
-            // simulator. Equivalence was still pinned above.
-            if summary.host_cores < swept {
-                println!(
-                    "warning: shard speedup {achieved:.2}x is below the \
-                     {gate_shard_speedup:.2}x gate, but only {} host cores \
-                     are available for {swept} shards — gate downgraded to \
-                     this warning",
-                    summary.host_cores
-                );
-            } else {
-                return Err(format!(
-                    "gate failed: shard speedup {achieved:.3}x at {swept} \
-                     shards is below the required {gate_shard_speedup:.2}x \
-                     ({} host cores)",
-                    summary.host_cores
-                ));
-            }
-        }
-    }
     Ok(())
 }
 
@@ -1757,7 +1767,7 @@ fn dataset(argv: &[String]) -> Result<(), String> {
 /// stale and skips (with a counted warning) entries that fail their
 /// checksum — a damaged cache degrades the dataset, never the export.
 fn dataset_export(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["cache-dir", "out"], &[])?;
     let dir = args.get("cache-dir").ok_or("--cache-dir is required")?;
     let doc =
         service::export_dataset(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
@@ -1804,7 +1814,7 @@ fn policy_from_name(name: &str) -> Option<RMatrixPolicy> {
 /// swept at that same scale. Unusable entries (foreign benchmarks,
 /// missing plans, sddmm rows) are skipped with a count, not an error.
 fn model_train(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["dataset", "scale", "out", "report"], &[])?;
     let dataset_path = args.get("dataset").ok_or("--dataset is required")?;
     let scale = parse_scale(&args)?;
     let out = args.get("out").unwrap_or("spade.model");
@@ -1904,7 +1914,20 @@ fn merge_bench_section(path: &str, key: &str, section: JsonValue) -> String {
 /// selected-plan cycles / Opt cycles geomean) turn the run into a
 /// regression gate, failing after the summary is written.
 fn bench_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "scale",
+            "k",
+            "pes",
+            "out",
+            "model-out",
+            "report-out",
+            "gate-advise-speedup",
+            "gate-advise-quality",
+        ],
+        &[],
+    )?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
     let pes: usize = args.get_parsed("pes", 56)?;
@@ -2099,8 +2122,6 @@ mod tests {
             "16",
             "--pes",
             "4",
-            "--shards",
-            "2",
             "--out",
             path.to_str().unwrap(),
         ]))
@@ -2110,29 +2131,27 @@ mod tests {
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"kernel\":\"sddmm\""));
-        assert!(text.contains("\"sim_shard\""));
-        assert!(text.contains("\"max_shard_speedup\""));
     }
 
     #[test]
-    fn run_with_explicit_shards() {
-        dispatch(&argv(&[
+    fn undeclared_flags_are_rejected_by_name() {
+        let err = dispatch(&argv(&[
             "run",
             "--benchmark",
             "myc",
-            "--k",
-            "16",
-            "--pes",
-            "8",
-            "--shards",
-            "2",
+            "--scale",
+            "tiny",
+            "--bogus-flag",
+            "3",
         ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn zero_shards_is_rejected() {
-        assert!(dispatch(&argv(&["run", "--benchmark", "myc", "--shards", "0",])).is_err());
+        .unwrap_err();
+        assert!(err.contains("'--bogus-flag'"), "{err}");
+        // Flags that no longer exist fail loudly instead of being
+        // ignored, so an old script cannot pass without the gate it set.
+        let err = dispatch(&argv(&["run", "--benchmark", "myc", "--shards", "2"])).unwrap_err();
+        assert!(err.contains("'--shards'"), "{err}");
+        let err = dispatch(&argv(&["bench-perf", "--gate-shard-speedup", "1.5"])).unwrap_err();
+        assert!(err.contains("'--gate-shard-speedup'"), "{err}");
     }
 
     #[test]

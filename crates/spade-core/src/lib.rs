@@ -66,10 +66,7 @@ pub use isa::{
 pub use plan::{BarrierPolicy, ExecutionPlan, PlanSearchSpace};
 pub use report::RunReport;
 pub use schedule::{PeCommand, Schedule};
-pub use system::{
-    run_sddmm_checked, run_spmm_checked, sim_shards_from_env, SddmmRun, SpadeSystem, SpmmRun,
-    SpmvRun,
-};
+pub use system::{run_sddmm_checked, run_spmm_checked, SddmmRun, SpadeSystem, SpmmRun, SpmvRun};
 
 // Observability types from the simulation layer, re-exported so downstream
 // crates (bench, CLI) need only `spade_core` for telemetry and tracing.

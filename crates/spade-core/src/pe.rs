@@ -55,14 +55,7 @@ pub enum KernelData<'a> {
 impl KernelData<'_> {
     /// Applies one vOp's arithmetic: segment `seg` (one cache line) of the
     /// dense rows selected by non-zero `(row, col, val)`.
-    pub(crate) fn apply_vop(
-        &mut self,
-        row: u32,
-        col: u32,
-        val: f32,
-        seg: usize,
-        func_out_idx: usize,
-    ) {
+    fn apply_vop(&mut self, row: u32, col: u32, val: f32, seg: usize, func_out_idx: usize) {
         let lo = seg * FLOATS_PER_LINE;
         match self {
             KernelData::Spmm { b, d } => {
@@ -87,123 +80,6 @@ impl KernelData<'_> {
                 out[func_out_idx] += val * dot;
             }
         }
-    }
-}
-
-/// Reply to a shared-resource port operation: either the completed result
-/// (the completion cycle of a read/write, or the flushed line count), or a
-/// ticket redeemable against the epoch-edge replay results.
-///
-/// A given port implementation answers uniformly — all `Done` (the direct
-/// port) or all `Ticket` (the sharded driver's logging port); a PE never
-/// sees a mix within one tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PortReply {
-    /// The operation executed immediately; the value is its result.
-    Done(u64),
-    /// The operation was deferred; index into the epoch's replay results.
-    Ticket(u32),
-}
-
-impl PortReply {
-    /// The ticket index of a deferred reply. Mixing direct and deferred
-    /// replies within one tick is a port-implementation bug.
-    fn ticket(self) -> u32 {
-        match self {
-            PortReply::Ticket(k) => k,
-            PortReply::Done(_) => unreachable!("a port must defer all of a tick's operations"),
-        }
-    }
-}
-
-/// The shared-resource boundary a PE tick runs against: memory accesses,
-/// functional vOp application, and barrier coordination. Everything else a
-/// tick touches is PE-private.
-///
-/// [`DirectPort`] executes against the real structures (the sequential
-/// drivers; compiles to exactly the pre-port code). The sharded driver
-/// substitutes a logging port that appends every operation to a per-shard
-/// ordered log and answers with tickets; the log is replayed in global PE
-/// order at the epoch edge and the tickets are redeemed through
-/// [`Pe::resolve_pending`], making the parallel run bit-identical to the
-/// sequential one.
-pub(crate) trait ExecPort {
-    /// A memory read by `agent` for `line`; replies with the fill cycle.
-    fn read(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        now: Cycle,
-    ) -> PortReply;
-    /// A write-back by `agent` of `line`; replies with the accept cycle.
-    fn write(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        now: Cycle,
-    ) -> PortReply;
-    /// Flushes `agent`'s private cache levels; replies with the count of
-    /// lines written back.
-    fn flush_agent(&mut self, agent: usize, now: Cycle) -> PortReply;
-    /// Applies one retired vOp's functional arithmetic.
-    fn apply_vop(&mut self, row: u32, col: u32, val: f32, seg: u32, func_out_idx: u64);
-    /// The PE arrives at barrier `id`.
-    fn arrive(&mut self, id: u32);
-    /// Whether barrier `id` has been released. Releases only happen
-    /// between tick phases, so a start-of-epoch snapshot is exact.
-    fn barrier_passed(&self, id: u32) -> bool;
-}
-
-/// The pass-through port: every operation executes immediately against the
-/// real memory system, kernel data, and barrier state.
-pub(crate) struct DirectPort<'a, 'b> {
-    pub mem: &'a mut MemorySystem,
-    pub barriers: &'a mut BarrierSync,
-    pub data: &'a mut KernelData<'b>,
-}
-
-impl ExecPort for DirectPort<'_, '_> {
-    fn read(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        now: Cycle,
-    ) -> PortReply {
-        PortReply::Done(self.mem.read(agent, line, path, class, now))
-    }
-
-    fn write(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        now: Cycle,
-    ) -> PortReply {
-        PortReply::Done(self.mem.write(agent, line, path, class, now))
-    }
-
-    fn flush_agent(&mut self, agent: usize, now: Cycle) -> PortReply {
-        PortReply::Done(self.mem.flush_agent(agent, now) as u64)
-    }
-
-    fn apply_vop(&mut self, row: u32, col: u32, val: f32, seg: u32, func_out_idx: u64) {
-        self.data
-            .apply_vop(row, col, val, seg as usize, func_out_idx as usize);
-    }
-
-    fn arrive(&mut self, id: u32) {
-        self.barriers.arrive(id);
-    }
-
-    fn barrier_passed(&self, id: u32) -> bool {
-        self.barriers.passed(id)
     }
 }
 
@@ -286,11 +162,6 @@ pub struct RuntimeParams {
 #[derive(Debug, Clone, Copy)]
 struct SparseEntry {
     ready_at: Cycle,
-    /// Replay tickets for the three line fetches when the entry was issued
-    /// through a logging port; `ready_at` holds `Cycle::MAX` (strictly
-    /// later than any real fill, so in-tick behavior is unchanged) until
-    /// [`Pe::resolve_pending`] redeems them.
-    pending: Option<[u32; 3]>,
     /// Absolute index (into the tiled arrays) of the next tuple to pop;
     /// doubles as the functional output index.
     idx: u64,
@@ -507,25 +378,7 @@ pub struct Pe {
     /// Lifecycle trace recorder; `None` (no allocation, no work) unless
     /// tracing was requested.
     trace: Option<Box<PeTrace>>,
-    /// Tickets for dense-operand loads issued through a logging port this
-    /// epoch: `(ticket, register)`. The matching `dense_loads` entries and
-    /// VRF fill times hold `Cycle::MAX` until resolved.
-    pending_dense: Vec<(u32, VrId)>,
-    /// Tickets for write-backs issued through a logging port this epoch;
-    /// the matching `stores` entries hold `Cycle::MAX` until resolved.
-    pending_stores: Vec<u32>,
-    /// A flush that completed through a logging port this epoch: the
-    /// ticket for the flushed-line count, plus the deferred trace span
-    /// when tracing — its event is emitted at resolve time so it can
-    /// carry the real line count. Nothing after a flush completion can
-    /// trace at the same cycle, so deferring the emission preserves
-    /// byte-exact trace order.
-    pending_flush_done: Option<PendingFlush>,
 }
-
-/// Deferred flush completion from a logged-port epoch: the line-count
-/// ticket, plus `(from, vr_lines, at)` for the trace span when tracing.
-type PendingFlush = (u32, Option<(Cycle, usize, Cycle)>);
 
 impl Pe {
     /// Creates a PE with its command stream (ending in WB&Invalidate +
@@ -562,9 +415,6 @@ impl Pe {
             stall_open: None,
             stats: PeStats::default(),
             trace: None,
-            pending_dense: Vec::new(),
-            pending_stores: Vec::new(),
-            pending_flush_done: None,
         }
     }
 
@@ -726,8 +576,7 @@ impl Pe {
             && self.dense_loads.is_empty()
     }
 
-    /// Advances this PE by one pipeline step at `now`, executing shared
-    /// memory / barrier / functional operations directly.
+    /// Advances this PE by one pipeline step at `now`.
     #[allow(clippy::too_many_arguments)]
     pub fn tick(
         &mut self,
@@ -737,23 +586,6 @@ impl Pe {
         addr: &AddressMap,
         tiled: &TiledCoo,
         data: &mut KernelData<'_>,
-    ) -> TickResult {
-        let mut port = DirectPort {
-            mem,
-            barriers,
-            data,
-        };
-        self.tick_port(now, &mut port, addr, tiled)
-    }
-
-    /// Advances this PE by one pipeline step at `now` against an abstract
-    /// shared-resource port (see [`ExecPort`]).
-    pub(crate) fn tick_port<P: ExecPort>(
-        &mut self,
-        now: Cycle,
-        port: &mut P,
-        addr: &AddressMap,
-        tiled: &TiledCoo,
     ) -> TickResult {
         if self.state == PeState::Done {
             return TickResult::Done;
@@ -782,7 +614,7 @@ impl Pe {
         // ─ ⑧ Retire finished vOps (pipelined SIMD; completions are FIFO) ─
         while self.in_flight.front().is_some_and(|f| f.done <= now) {
             let f = self.in_flight.pop_front().expect("front checked");
-            port.apply_vop(f.row, f.col, f.val, f.seg, f.func_out_idx);
+            data.apply_vop(f.row, f.col, f.val, f.seg as usize, f.func_out_idx as usize);
             self.vrf.release_ref(f.op1);
             self.vrf.release_ref(f.op2);
             self.vrf.release_ref(f.dest);
@@ -797,8 +629,8 @@ impl Pe {
             if self.wb_draining && self.stores.len() < self.cfg.store_queue_entries {
                 if let Some(vr) = self.vrf.writeback_candidate(now) {
                     let (line, class) = self.vrf.clean(vr);
-                    let accept = port.write(self.id, line, self.path_for_class(class), class, now);
-                    self.push_store(accept);
+                    let accept = mem.write(self.id, line, self.path_for_class(class), class, now);
+                    self.stores.push(Reverse(accept));
                     self.alloc_blocked = false;
                     progressed = true;
                     self.wb_draining = self.vrf.dirty_fraction() > self.cfg.wb_lo;
@@ -880,7 +712,7 @@ impl Pe {
                 self.note_stall(StallCause::Rs, now);
             } else if self.dense_loads.len() + 2 > self.cfg.dense_lq_entries {
                 self.note_stall(StallCause::DenseLq, now);
-            } else if self.gen_vop(top, now, port, addr) {
+            } else if self.gen_vop(top, now, mem, addr) {
                 self.close_stall(now);
                 let t = self.top_q.front_mut().expect("tOp queue was non-empty");
                 t.next_seg += 1;
@@ -933,30 +765,24 @@ impl Pe {
             let line_cap = FLOATS_PER_LINE as u64 - (idx % FLOATS_PER_LINE as u64);
             let chunk = self.tile_remaining.min(line_cap);
             let path = self.sparse_path();
-            let r1 = port.read(
+            let t1 = mem.read(
                 self.id,
                 addr.r_ids_line(idx),
                 path,
                 DataClass::SparseIn,
                 now,
             );
-            let r2 = port.read(
+            let t2 = mem.read(
                 self.id,
                 addr.c_ids_line(idx),
                 path,
                 DataClass::SparseIn,
                 now,
             );
-            let r3 = port.read(self.id, addr.vals_line(idx), path, DataClass::SparseIn, now);
-            let (ready_at, pending) = match (r1, r2, r3) {
-                (PortReply::Done(t1), PortReply::Done(t2), PortReply::Done(t3)) => {
-                    (t1.max(t2).max(t3), None)
-                }
-                _ => (Cycle::MAX, Some([r1.ticket(), r2.ticket(), r3.ticket()])),
-            };
+            let t3 = mem.read(self.id, addr.vals_line(idx), path, DataClass::SparseIn, now);
+            let ready_at = t1.max(t2).max(t3);
             self.sparse_lq.push_back(SparseEntry {
                 ready_at,
-                pending,
                 idx,
                 out_idx: self.tile_out_next,
                 remaining: chunk,
@@ -968,7 +794,7 @@ impl Pe {
         }
 
         // ─ Command handling ─
-        progressed |= self.step_control(now, port, tiled);
+        progressed |= self.step_control(now, mem, barriers, tiled);
 
         if self.state == PeState::Done {
             self.stats.finished_at = now;
@@ -981,43 +807,9 @@ impl Pe {
         }
     }
 
-    /// Pushes a write-back completion, recording its replay ticket when it
-    /// came from a logging port (`Cycle::MAX` sorts after every real
-    /// completion, so an unresolved store behaves like one still in
-    /// flight — exactly what it is).
-    fn push_store(&mut self, accept: PortReply) {
-        match accept {
-            PortReply::Done(t) => self.stores.push(Reverse(t)),
-            PortReply::Ticket(k) => {
-                self.stores.push(Reverse(Cycle::MAX));
-                self.pending_stores.push(k);
-            }
-        }
-    }
-
-    /// Registers a dense-operand load for `id`, recording its replay
-    /// ticket when it came from a logging port.
-    fn push_dense_load(&mut self, id: VrId, done: PortReply) {
-        let done = match done {
-            PortReply::Done(t) => t,
-            PortReply::Ticket(k) => {
-                self.pending_dense.push((k, id));
-                Cycle::MAX
-            }
-        };
-        self.vrf.set_loading(id, done);
-        self.dense_loads.push(Reverse((done, id)));
-    }
-
     /// Generates one vOp for `top` (segment `top.next_seg`). Returns false
     /// on an allocation stall.
-    fn gen_vop<P: ExecPort>(
-        &mut self,
-        top: TOp,
-        now: Cycle,
-        port: &mut P,
-        addr: &AddressMap,
-    ) -> bool {
+    fn gen_vop(&mut self, top: TOp, now: Cycle, mem: &mut MemorySystem, addr: &AddressMap) -> bool {
         let seg = top.next_seg as u64;
         let (op1_line, op1_class, op2_line, op2_class, dest_is_out) = match self.params.primitive {
             Primitive::Spmm => (
@@ -1040,14 +832,15 @@ impl Pe {
         let op1 = match self.vrf.lookup_or_alloc(op1_line, op1_class) {
             AllocOutcome::Reused(id) => id,
             AllocOutcome::Allocated(id) => {
-                let done = port.read(
+                let done = mem.read(
                     self.id,
                     op1_line,
                     self.path_for_class(op1_class),
                     op1_class,
                     now,
                 );
-                self.push_dense_load(id, done);
+                self.vrf.set_loading(id, done);
+                self.dense_loads.push(Reverse((done, id)));
                 id
             }
             AllocOutcome::Stall => return false,
@@ -1056,14 +849,15 @@ impl Pe {
         let op2 = match self.vrf.lookup_or_alloc(op2_line, op2_class) {
             AllocOutcome::Reused(id) => id,
             AllocOutcome::Allocated(id) => {
-                let done = port.read(
+                let done = mem.read(
                     self.id,
                     op2_line,
                     self.path_for_class(op2_class),
                     op2_class,
                     now,
                 );
-                self.push_dense_load(id, done);
+                self.vrf.set_loading(id, done);
+                self.dense_loads.push(Reverse((done, id)));
                 id
             }
             AllocOutcome::Stall => return false,
@@ -1104,7 +898,13 @@ impl Pe {
 
     /// Handles command fetch, barriers, and flushes. Returns whether it
     /// made progress.
-    fn step_control<P: ExecPort>(&mut self, now: Cycle, port: &mut P, tiled: &TiledCoo) -> bool {
+    fn step_control(
+        &mut self,
+        now: Cycle,
+        mem: &mut MemorySystem,
+        barriers: &mut BarrierSync,
+        tiled: &TiledCoo,
+    ) -> bool {
         match self.state {
             PeState::Ready => {
                 // Fetch the next command once the current tile's sparse
@@ -1176,7 +976,7 @@ impl Pe {
                 }
                 match after {
                     AfterDrain::Barrier(id) => {
-                        port.arrive(id);
+                        barriers.arrive(id);
                         self.state = PeState::AtBarrier(id);
                     }
                     AfterDrain::Flush => {
@@ -1192,7 +992,7 @@ impl Pe {
                 true
             }
             PeState::AtBarrier(id) => {
-                if port.barrier_passed(id) {
+                if barriers.passed(id) {
                     self.state = PeState::Ready;
                     if let Some(tr) = self.trace.as_deref_mut() {
                         if let Some((bid, from)) = tr.barrier_from.take() {
@@ -1218,40 +1018,27 @@ impl Pe {
                     if self.stores.len() < self.cfg.store_queue_entries {
                         self.pending_flush.pop_front();
                         let accept =
-                            port.write(self.id, line, self.path_for_class(class), class, now);
-                        self.push_store(accept);
+                            mem.write(self.id, line, self.path_for_class(class), class, now);
+                        self.stores.push(Reverse(accept));
                         return true;
                     }
                     false
                 } else if self.stores.is_empty() {
+                    let cache_lines = mem.flush_agent(self.id, now);
                     self.state = PeState::Ready;
-                    match port.flush_agent(self.id, now) {
-                        PortReply::Done(cache_lines) => {
-                            if let Some(tr) = self.trace.as_deref_mut() {
-                                if let Some((from, vr_lines)) = tr.flush_from.take() {
-                                    tr.events.push(
-                                        TraceEvent::complete(
-                                            "flush",
-                                            "flush",
-                                            from,
-                                            now.saturating_sub(from),
-                                            self.id as u64,
-                                        )
-                                        .arg("vr_lines", vr_lines)
-                                        .arg("cache_lines", cache_lines),
-                                    );
-                                }
-                            }
-                        }
-                        PortReply::Ticket(k) => {
-                            // The trace span needs the replayed line count;
-                            // defer its emission to `resolve_pending`.
-                            let span = self
-                                .trace
-                                .as_deref_mut()
-                                .and_then(|tr| tr.flush_from.take())
-                                .map(|(from, vr_lines)| (from, vr_lines, now));
-                            self.pending_flush_done = Some((k, span));
+                    if let Some(tr) = self.trace.as_deref_mut() {
+                        if let Some((from, vr_lines)) = tr.flush_from.take() {
+                            tr.events.push(
+                                TraceEvent::complete(
+                                    "flush",
+                                    "flush",
+                                    from,
+                                    now.saturating_sub(from),
+                                    self.id as u64,
+                                )
+                                .arg("vr_lines", vr_lines)
+                                .arg("cache_lines", cache_lines),
+                            );
                         }
                     }
                     true
@@ -1270,7 +1057,7 @@ impl Pe {
     /// only move when something else frees up, so it is not a wake source.
     /// Reporting it would make the scheduler busy-wait on a starved PE and
     /// mask genuine livelocks from the watchdog.
-    pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
+    fn next_event(&self, now: Cycle) -> Cycle {
         let mut next = Cycle::MAX;
         let mut fold = |t: Cycle| {
             if t > now {
@@ -1293,66 +1080,6 @@ impl Pe {
             fold(until);
         }
         next
-    }
-
-    /// Redeems the tickets a logging port issued during this epoch's
-    /// tick(s) against the replayed results, patching queue timestamps and
-    /// VRF fill cycles in place. Every `Cycle::MAX` placeholder is strictly
-    /// in the future during the epoch it was issued in (real completions
-    /// are always later than the issue cycle), so patching at the epoch
-    /// edge — before the PE can next be ticked — leaves behavior
-    /// bit-identical to having had the real values all along.
-    pub(crate) fn resolve_pending(&mut self, results: &[u64]) {
-        for e in self.sparse_lq.iter_mut() {
-            if let Some([a, b, c]) = e.pending.take() {
-                e.ready_at = results[a as usize]
-                    .max(results[b as usize])
-                    .max(results[c as usize]);
-            }
-        }
-        if !self.pending_dense.is_empty() {
-            let mut heap = std::mem::take(&mut self.dense_loads).into_vec();
-            for (k, vr) in self.pending_dense.drain(..) {
-                let done = results[k as usize];
-                self.vrf.set_loading(vr, done);
-                let slot = heap
-                    .iter_mut()
-                    .find(|r| r.0 .0 == Cycle::MAX && r.0 .1 == vr)
-                    .expect("ticketed dense load must be queued");
-                slot.0 .0 = done;
-            }
-            self.dense_loads = heap.into();
-        }
-        if !self.pending_stores.is_empty() {
-            let mut stores: Vec<Cycle> = std::mem::take(&mut self.stores)
-                .into_vec()
-                .into_iter()
-                .map(|Reverse(t)| t)
-                .filter(|&t| t != Cycle::MAX)
-                .collect();
-            for k in self.pending_stores.drain(..) {
-                stores.push(results[k as usize]);
-            }
-            self.stores = stores.into_iter().map(Reverse).collect();
-        }
-        if let Some((k, span)) = self.pending_flush_done.take() {
-            let cache_lines = results[k as usize];
-            if let Some((from, vr_lines, at)) = span {
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    tr.events.push(
-                        TraceEvent::complete(
-                            "flush",
-                            "flush",
-                            from,
-                            at.saturating_sub(from),
-                            self.id as u64,
-                        )
-                        .arg("vr_lines", vr_lines)
-                        .arg("cache_lines", cache_lines),
-                    );
-                }
-            }
-        }
     }
 }
 

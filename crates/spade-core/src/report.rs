@@ -51,16 +51,6 @@ pub struct RunReport {
     /// property of the host machine, not of the modelled hardware; it is
     /// excluded from equality comparisons.
     pub host_wall_ns: f64,
-    /// How many host shards drove the simulation (1 for the sequential
-    /// drivers). A host-execution property like `host_wall_ns`: excluded
-    /// from equality so sharded and sequential runs of the same job
-    /// compare equal.
-    pub shards: u32,
-    /// Per-shard busy wall-clock nanoseconds (empty for the sequential
-    /// drivers): the host time each worker spent ticking and resolving its
-    /// PEs, for attributing `sim_cycles_per_host_sec` speedups to shard
-    /// balance. Excluded from equality like `host_wall_ns`.
-    pub shard_wall_ns: Vec<f64>,
 }
 
 impl PartialEq for RunReport {
@@ -121,8 +111,6 @@ impl RunReport {
             stall_no_rs: pe_stats.iter().map(|s| s.stall_no_rs).sum(),
             mem: mem_stats,
             host_wall_ns: 0.0,
-            shards: 1,
-            shard_wall_ns: Vec::new(),
         }
     }
 
@@ -209,11 +197,6 @@ impl RunReport {
             ("stall_no_vr", self.stall_no_vr.into()),
             ("stall_no_rs", self.stall_no_rs.into()),
             ("host_wall_ns", self.host_wall_ns.into()),
-            ("shards", self.shards.into()),
-            (
-                "shard_wall_ns",
-                JsonValue::Array(self.shard_wall_ns.iter().map(|&w| w.into()).collect()),
-            ),
         ])
     }
 }

@@ -3,20 +3,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use spade_matrix::{reference, Coo, DenseMatrix, TiledCoo, FLOATS_PER_LINE};
 use spade_sim::{
-    fast_path_default, AccessPath, Cycle, DataClass, LevelKind, Line, MemorySystem,
-    TelemetryCounters, TelemetryGauges, TelemetryRecorder, TelemetrySeries, TraceEvent, TraceLog,
+    fast_path_default, Cycle, LevelKind, MemorySystem, TelemetryCounters, TelemetryGauges,
+    TelemetryRecorder, TelemetrySeries, TraceEvent, TraceLog,
 };
 
-use crate::pe::{
-    BarrierSync, ExecPort, KernelData, Pe, PeStats, PortReply, RuntimeParams, TickResult,
-};
+use crate::pe::{BarrierSync, KernelData, Pe, PeStats, RuntimeParams, TickResult};
 use crate::{
     AddressMap, ExecutionPlan, Primitive, RunReport, Schedule, SpadeError, StallDiagnostics,
     StallKind, SystemConfig, WatchdogConfig,
@@ -86,10 +80,6 @@ pub struct SpadeSystem {
     /// way — pinned by the `memory_fastpath_equivalence` suite.
     mem_fast_path: bool,
     watchdog: WatchdogConfig,
-    /// Requested host shard count for the event-driven driver (see
-    /// [`SpadeSystem::set_shards`]); the effective count is clamped to the
-    /// cluster count at run time.
-    shards: usize,
     /// Telemetry window in cycles; `None` disables sampling.
     telemetry_window: Option<Cycle>,
     /// Whether to record an event trace for the next run.
@@ -112,9 +102,6 @@ impl SpadeSystem {
             // explicit setter overrides it per system.
             mem_fast_path: fast_path_default(),
             watchdog: WatchdogConfig::default(),
-            // Honors the SPADE_SIM_SHARDS environment default; the
-            // explicit setter overrides it per system.
-            shards: sim_shards_from_env(),
             telemetry_window: None,
             trace_on: false,
             last_telemetry: None,
@@ -172,33 +159,6 @@ impl SpadeSystem {
     /// Whether the memory fast path is requested for subsequent runs.
     pub fn mem_fast_path(&self) -> bool {
         self.mem_fast_path
-    }
-
-    /// Requests `shards` host worker threads for the event-driven driver.
-    ///
-    /// The PEs are partitioned by cluster — each shard owns its clusters'
-    /// L1s, victim caches, and line filters exclusively — and advance in
-    /// lock-step time epochs. Accesses that cross into the shared levels
-    /// (LLC, DRAM, STLB) are recorded into per-shard ordered logs during
-    /// the parallel tick phase and replayed against the real memory system
-    /// in global PE order at the epoch edge, so every run is
-    /// **bit-identical** to the sequential event-driven driver: same
-    /// outputs, reports, telemetry bytes, trace bytes, and fault schedules
-    /// (pinned by the `sharded_equivalence` suite).
-    ///
-    /// The effective count is clamped to the cluster count at run time,
-    /// `1` selects the sequential driver unchanged, and the naive oracle
-    /// loop (see [`SpadeSystem::set_fast_forward`]) always runs
-    /// single-threaded. The `SPADE_SIM_SHARDS` environment variable sets
-    /// the default for new systems.
-    pub fn set_shards(&mut self, shards: usize) -> &mut Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// The requested shard count (before run-time clamping).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Configures the deadlock watchdog: the idle budget before a run is
@@ -523,20 +483,7 @@ impl SpadeSystem {
             trace_on,
             sched_lane,
         };
-        // Sharding only applies to the event-driven driver: the naive loop
-        // stays the untouched single-threaded oracle. Shard count 1 (or a
-        // single cluster) compiles down to today's sequential path.
-        let requested_shards = if self.fast_forward { self.shards } else { 1 };
-        let shard_plan = shard_ranges(
-            num_pes,
-            self.config.mem.agents_per_cluster,
-            requested_shards,
-        );
-        let eff_shards = shard_plan.len();
-        let mut shard_walls: Vec<f64> = Vec::new();
-        let mut sim_err = if eff_shards > 1 {
-            run_sharded_loop(env, &shard_plan, &mut shard_walls)
-        } else if self.fast_forward {
+        let mut sim_err = if self.fast_forward {
             run_event_loop(env)
         } else {
             run_naive_loop(env)
@@ -586,8 +533,6 @@ impl SpadeSystem {
             schedule.num_barriers(),
         );
         report.host_wall_ns = host_start.elapsed().as_nanos() as f64;
-        report.shards = eff_shards as u32;
-        report.shard_wall_ns = shard_walls;
         self.mem = Some(mem);
         Ok(report)
     }
@@ -983,817 +928,6 @@ fn run_naive_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
     }
 }
 
-/// The default shard count for new systems: the `SPADE_SIM_SHARDS`
-/// environment variable, or 1 (sequential) when unset. A set-but-invalid
-/// value (a typo like `SPADE_SIM_SHARDS=two` or `=0`) warns to stderr
-/// once per process and falls back to sequential instead of being
-/// silently swallowed.
-pub fn sim_shards_from_env() -> usize {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    if let Ok(v) = std::env::var("SPADE_SIM_SHARDS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: SPADE_SIM_SHARDS={v:?} is not a positive shard \
-                     count; running sequentially (1 shard)"
-                );
-            }),
-        }
-    }
-    1
-}
-
-/// Cluster-aligned shard partition: contiguous PE index ranges, each
-/// covering whole clusters, as balanced as the cluster count allows. The
-/// returned length is the effective shard count (`requested` clamped to
-/// the cluster count); every range is non-empty.
-fn shard_ranges(num_pes: usize, agents_per_cluster: usize, requested: usize) -> Vec<Range<usize>> {
-    let apc = agents_per_cluster.max(1);
-    let clusters = num_pes.div_ceil(apc).max(1);
-    let shards = requested.clamp(1, clusters);
-    let base = clusters / shards;
-    let rem = clusters % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut cluster = 0usize;
-    for s in 0..shards {
-        let take = base + usize::from(s < rem);
-        let lo = (cluster * apc).min(num_pes);
-        cluster += take;
-        let hi = (cluster * apc).min(num_pes);
-        ranges.push(lo..hi);
-    }
-    ranges
-}
-
-/// One operation against the shared boundary (LLC/DRAM/STLB, the kernel
-/// arrays, or the barrier), recorded by a shard's [`LogPort`] during the
-/// parallel tick phase. The issuing PE and the cycle are implicit — every
-/// log belongs to one PE and one epoch — so replaying a log at the epoch
-/// edge reproduces the exact call sequence the sequential driver would
-/// have made.
-#[derive(Debug, Clone, Copy)]
-enum SharedOp {
-    /// A memory read; redeems one ticket with the fill cycle.
-    Read {
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-    },
-    /// A write-back; redeems one ticket with the accept cycle.
-    Write {
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-    },
-    /// A private-level flush; redeems one ticket with the line count.
-    Flush,
-    /// One retired vOp's functional arithmetic (no ticket — replay order
-    /// alone fixes the f32 accumulation order).
-    Apply {
-        row: u32,
-        col: u32,
-        val: f32,
-        seg: u32,
-        func_out_idx: u64,
-    },
-    /// A barrier arrival (no ticket).
-    Arrive { id: u32 },
-}
-
-/// The sharded driver's [`ExecPort`]: appends every shared-boundary
-/// operation to the owning PE's per-epoch log and answers with tickets.
-/// Barrier state is answered from a start-of-epoch snapshot — exact,
-/// because releases only ever happen in the coordinator's serial section
-/// between tick phases.
-struct LogPort<'a> {
-    /// The PE this log belongs to (checked against the caller).
-    agent: usize,
-    ops: &'a mut Vec<SharedOp>,
-    tickets: u32,
-    /// Barriers released as of this epoch's start.
-    released: u32,
-}
-
-impl LogPort<'_> {
-    fn ticket(&mut self) -> PortReply {
-        let k = self.tickets;
-        self.tickets += 1;
-        PortReply::Ticket(k)
-    }
-}
-
-impl ExecPort for LogPort<'_> {
-    fn read(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        _now: Cycle,
-    ) -> PortReply {
-        debug_assert_eq!(agent, self.agent, "a log port serves exactly one PE");
-        self.ops.push(SharedOp::Read { line, path, class });
-        self.ticket()
-    }
-
-    fn write(
-        &mut self,
-        agent: usize,
-        line: Line,
-        path: AccessPath,
-        class: DataClass,
-        _now: Cycle,
-    ) -> PortReply {
-        debug_assert_eq!(agent, self.agent, "a log port serves exactly one PE");
-        self.ops.push(SharedOp::Write { line, path, class });
-        self.ticket()
-    }
-
-    fn flush_agent(&mut self, agent: usize, _now: Cycle) -> PortReply {
-        debug_assert_eq!(agent, self.agent, "a log port serves exactly one PE");
-        self.ops.push(SharedOp::Flush);
-        self.ticket()
-    }
-
-    fn apply_vop(&mut self, row: u32, col: u32, val: f32, seg: u32, func_out_idx: u64) {
-        self.ops.push(SharedOp::Apply {
-            row,
-            col,
-            val,
-            seg,
-            func_out_idx,
-        });
-    }
-
-    fn arrive(&mut self, id: u32) {
-        self.ops.push(SharedOp::Arrive { id });
-    }
-
-    fn barrier_passed(&self, id: u32) -> bool {
-        self.released > id
-    }
-}
-
-/// Per-PE observation cache for the sharded driver: everything
-/// [`observe_into`] reads from a `Pe`, refreshed by the owning worker at
-/// the end of each epoch's resolve phase so the coordinator can serve
-/// telemetry probes without touching worker-owned PEs.
-#[derive(Debug, Clone, Copy, Default)]
-struct PeObs {
-    vops: u64,
-    tuples: u64,
-    stall_no_vr: u64,
-    stall_no_rs: u64,
-    stall_no_dense_lq: u64,
-    lq_depth: u64,
-    done: bool,
-}
-
-impl PeObs {
-    fn of(pe: &Pe) -> PeObs {
-        let s = pe.stats();
-        PeObs {
-            vops: s.vops,
-            tuples: s.tuples,
-            stall_no_vr: s.stall_no_vr,
-            stall_no_rs: s.stall_no_rs,
-            stall_no_dense_lq: s.stall_no_dense_lq,
-            lq_depth: pe.load_queue_depth() as u64,
-            done: pe.is_done(),
-        }
-    }
-}
-
-/// One ticked PE's epoch outcome, reported by its worker.
-#[derive(Debug, Clone, Copy)]
-struct TickOutcome {
-    /// Global PE index.
-    pe: usize,
-    /// Whether any sub-tick progressed.
-    progressed: bool,
-    /// Whether the PE finished this epoch.
-    done: bool,
-    /// Minimum `Waiting(t)` over the sub-ticks (`Cycle::MAX` if none).
-    /// Only consulted when `progressed` is false, in which case the tick
-    /// issued no shared-boundary operations and the value is a real,
-    /// sentinel-free wake cycle.
-    next: Cycle,
-}
-
-/// A shard's coordinator⇄worker exchange area. The worker locks it while
-/// executing a command; the coordinator locks it only in the serial
-/// sections between commands, when every worker is parked at the epoch
-/// barrier — so the mutex is never contended, it just proves exclusivity
-/// to the borrow checker.
-#[derive(Debug, Default)]
-struct ShardState {
-    /// Global indices of this shard's due PEs this epoch (coordinator).
-    due: Vec<usize>,
-    /// Parallel to `due`: each PE's shared-op log (worker, tick phase).
-    logs: Vec<Vec<SharedOp>>,
-    /// Parallel to `due`: ticket redemption values (coordinator, replay).
-    results: Vec<Vec<u64>>,
-    /// Parallel to `due`: tick outcomes (worker, tick phase).
-    out: Vec<TickOutcome>,
-    /// Per shard-local PE: observation cache (worker, resolve phase).
-    obs: Vec<PeObs>,
-    /// First invariant violation found by this shard's audit, if any.
-    audit_err: Option<String>,
-    /// Panic message if a worker command panicked; stops the run.
-    poison: Option<String>,
-    /// Cumulative busy nanoseconds this worker spent executing commands.
-    wall_ns: u64,
-}
-
-/// Locks ignoring poisoning: a panicked worker already records its panic
-/// in `ShardState::poison`, and the coordinator still needs the state to
-/// shut the run down cleanly.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Commands the coordinator issues to the workers, published in an atomic
-/// before the epoch barrier is crossed.
-const CMD_TICK: u8 = 0;
-const CMD_RESOLVE: u8 = 1;
-const CMD_AUDIT: u8 = 2;
-const CMD_STOP: u8 = 3;
-
-/// A sense-reversing spin barrier for the epoch protocol. Waits spin
-/// briefly then yield, so the coordinator parking through a worker phase
-/// (and vice versa) does not starve the other threads on small hosts.
-struct SpinBarrier {
-    arrived: AtomicUsize,
-    generation: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        SpinBarrier {
-            arrived: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Reset before the generation bump publishes the release:
-            // late spinners only leave once they observe the new
-            // generation, so they cannot race the reset.
-            self.arrived.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Why the coordinator ended the epoch loop. Deadlock diagnostics are
-/// materialized only after the worker scope ends and the PE slice is
-/// whole again.
-enum StopReason {
-    Finished,
-    Deadlock(StallKind, u32),
-    Error(SpadeError),
-}
-
-fn worker_panic(cycle: Cycle, msg: String) -> SpadeError {
-    SpadeError::InvariantViolation {
-        cycle,
-        reason: format!("sharded worker panicked: {msg}"),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_string()
-    }
-}
-
-/// Tick phase, executed by each worker on its own shard: run every due
-/// PE's sub-ticks against a logging port and record the outcome. The PE
-/// sees `Cycle::MAX` placeholders for every shared-boundary result — all
-/// strictly in the future, exactly like the real completions — so its
-/// in-epoch behavior is identical to the sequential driver's.
-#[allow(clippy::too_many_arguments)]
-fn shard_tick(
-    pes: &mut [Pe],
-    base: usize,
-    st: &mut ShardState,
-    now: Cycle,
-    clock_mult: u32,
-    released: u32,
-    addr: &AddressMap,
-    tiled: &TiledCoo,
-) {
-    let ShardState { due, logs, out, .. } = st;
-    out.clear();
-    while logs.len() < due.len() {
-        logs.push(Vec::new());
-    }
-    for (j, &gi) in due.iter().enumerate() {
-        let log = &mut logs[j];
-        log.clear();
-        let pe = &mut pes[gi - base];
-        let mut port = LogPort {
-            agent: gi,
-            ops: log,
-            tickets: 0,
-            released,
-        };
-        let mut pe_next = Cycle::MAX;
-        let mut pe_progressed = false;
-        for _ in 0..clock_mult {
-            match pe.tick_port(now, &mut port, addr, tiled) {
-                TickResult::Progressed => pe_progressed = true,
-                TickResult::Waiting(t) => pe_next = pe_next.min(t),
-                TickResult::Done => break,
-            }
-        }
-        out.push(TickOutcome {
-            pe: gi,
-            progressed: pe_progressed,
-            done: pe.is_done(),
-            next: pe_next,
-        });
-    }
-}
-
-/// Resolve phase, executed by each worker on its own shard: redeem every
-/// due PE's tickets against the replayed results and refresh its
-/// observation cache. This runs even when the epoch is about to end — the
-/// last flushing PE's deferred flush trace event is emitted here.
-fn shard_resolve(pes: &mut [Pe], base: usize, st: &mut ShardState) {
-    let ShardState {
-        due, results, obs, ..
-    } = st;
-    for (j, &gi) in due.iter().enumerate() {
-        let pe = &mut pes[gi - base];
-        pe.resolve_pending(&results[j]);
-        obs[gi - base] = PeObs::of(pe);
-    }
-}
-
-/// Audit phase: per-PE invariant checks for this shard (the memory-system
-/// half runs in the coordinator beforehand). Records the first violation
-/// in shard-local PE order; the coordinator aggregates across shards in
-/// shard order, which is global PE order.
-fn shard_audit(pes: &[Pe], st: &mut ShardState) {
-    st.audit_err = None;
-    for pe in pes {
-        if let Err(reason) = pe.check_invariants() {
-            st.audit_err = Some(reason);
-            return;
-        }
-    }
-}
-
-/// A worker thread's command loop: park at the epoch barrier, execute the
-/// published command on this shard, park at the end barrier. Panics are
-/// caught and surfaced through `ShardState::poison` so the coordinator
-/// can stop the run instead of hanging the barrier.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker(
-    pes: &mut [Pe],
-    base: usize,
-    slot: &Mutex<ShardState>,
-    barrier: &SpinBarrier,
-    cmd: &AtomicU8,
-    epoch_now: &AtomicU64,
-    released_snap: &AtomicU32,
-    clock_mult: u32,
-    addr: &AddressMap,
-    tiled: &TiledCoo,
-) {
-    loop {
-        barrier.wait();
-        let c = cmd.load(Ordering::Acquire);
-        if c == CMD_STOP {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        let now = epoch_now.load(Ordering::Acquire);
-        let released = released_snap.load(Ordering::Acquire);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut st = lock(slot);
-            match c {
-                CMD_TICK => shard_tick(
-                    &mut *pes, base, &mut st, now, clock_mult, released, addr, tiled,
-                ),
-                CMD_RESOLVE => shard_resolve(pes, base, &mut st),
-                _ => shard_audit(pes, &mut st),
-            }
-        }));
-        let mut st = lock(slot);
-        if let Err(payload) = caught {
-            let msg = panic_message(payload.as_ref());
-            st.poison.get_or_insert(msg);
-        }
-        st.wall_ns += t0.elapsed().as_nanos() as u64;
-        drop(st);
-        barrier.wait();
-    }
-}
-
-/// The sharded event-driven driver: the tentpole of the intra-run
-/// parallelism work.
-///
-/// PEs are partitioned by cluster into `ranges` (one contiguous slice per
-/// worker thread). Each visited cycle is one *epoch*:
-///
-/// 1. **Serial** (coordinator): telemetry sample, periodic audit, cycle
-///    ceiling, and popping every due PE from the global ready heap into
-///    its shard's work list — identical bookkeeping, in identical order,
-///    to [`run_event_loop`].
-/// 2. **Tick** (parallel): each worker ticks its due PEs against a
-///    [`LogPort`]. Everything a tick touches is shard-private except the
-///    logged shared-boundary calls, which are answered with tickets.
-/// 3. **Serial**: the coordinator replays the logs against the real
-///    memory system, kernel arrays, and barrier — shard by shard in
-///    ascending order, i.e. exactly the global PE order the sequential
-///    driver interleaves its calls in, so memory stats, latencies, fault
-///    rolls, trace events, and f32 accumulation are all bit-identical —
-///    then applies the tick outcomes to the ready heap and releases the
-///    barrier if it filled.
-/// 4. **Resolve** (parallel): workers redeem tickets via
-///    [`Pe::resolve_pending`], patching the `Cycle::MAX` placeholders to
-///    the replayed completion cycles before any PE can be ticked again.
-/// 5. **Serial**: termination / next-cycle decision, again identical to
-///    the sequential driver.
-///
-/// Determinism does not depend on thread scheduling anywhere: workers
-/// only order operations within single-PE logs (program order), and every
-/// cross-PE merge happens in the coordinator's serial sections.
-fn run_sharded_loop(
-    env: LoopEnv<'_, '_>,
-    ranges: &[Range<usize>],
-    shard_walls: &mut Vec<f64>,
-) -> Option<SpadeError> {
-    let LoopEnv {
-        pes,
-        mem,
-        barriers,
-        addr,
-        tiled,
-        data,
-        telemetry,
-        sched_events,
-        wake,
-        now,
-        clock_mult,
-        watchdog,
-        audit_on,
-        read_bound,
-        trace_on,
-        sched_lane,
-    } = env;
-    let shards = ranges.len();
-    let num_pes = pes.len();
-
-    let cmd = AtomicU8::new(CMD_STOP);
-    let epoch_now = AtomicU64::new(*now);
-    let released_snap = AtomicU32::new(barriers.released());
-    let barrier = SpinBarrier::new(shards + 1);
-    let slots: Vec<Mutex<ShardState>> = ranges
-        .iter()
-        .map(|r| {
-            Mutex::new(ShardState {
-                obs: pes[r.clone()].iter().map(PeObs::of).collect(),
-                ..ShardState::default()
-            })
-        })
-        .collect();
-    let mut shard_of = vec![0usize; num_pes];
-    for (s, r) in ranges.iter().enumerate() {
-        for slot in &mut shard_of[r.clone()] {
-            *slot = s;
-        }
-    }
-    // The coordinator may not touch worker-owned PEs inside the scope;
-    // liveness is tracked through this mirror, updated from tick outcomes.
-    let mut done_mirror: Vec<bool> = pes.iter().map(|p| p.is_done()).collect();
-    let mut live = done_mirror.iter().filter(|d| !**d).count();
-    let mut ready: BinaryHeap<Reverse<(Cycle, usize)>> = (0..num_pes)
-        .filter(|&i| !done_mirror[i])
-        .map(|i| Reverse((*now, i)))
-        .collect();
-    let mut dues: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut loop_iters = 0u64;
-
-    let stop = std::thread::scope(|scope| {
-        let mut rest: &mut [Pe] = &mut pes[..];
-        let mut offset = 0usize;
-        for (s, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.end - offset);
-            offset = r.end;
-            rest = tail;
-            let slot = &slots[s];
-            let (barrier, cmd) = (&barrier, &cmd);
-            let (epoch_now, released_snap) = (&epoch_now, &released_snap);
-            let base = r.start;
-            scope.spawn(move || {
-                shard_worker(
-                    head,
-                    base,
-                    slot,
-                    barrier,
-                    cmd,
-                    epoch_now,
-                    released_snap,
-                    clock_mult,
-                    addr,
-                    tiled,
-                );
-            });
-        }
-
-        let stop = 'epochs: loop {
-            loop_iters += 1;
-            if let Some(rec) = telemetry.as_mut() {
-                rec.advance_to(*now, |c| observe_shards(mem, &slots, c));
-            }
-            if audit_on && loop_iters.is_multiple_of(AUDIT_PERIOD) {
-                // Memory-system half first, then the PE halves — the same
-                // order `audit_system` checks in.
-                if let Err(reason) = mem.audit(*now, Some(read_bound)) {
-                    break StopReason::Error(SpadeError::InvariantViolation {
-                        cycle: *now,
-                        reason,
-                    });
-                }
-                epoch_now.store(*now, Ordering::Release);
-                cmd.store(CMD_AUDIT, Ordering::Release);
-                barrier.wait();
-                barrier.wait();
-                let mut err = None;
-                for slot in &slots {
-                    let mut st = lock(slot);
-                    let found = st.poison.take().or_else(|| st.audit_err.take());
-                    if err.is_none() {
-                        err = found;
-                    }
-                }
-                if let Some(reason) = err {
-                    // Abort before ticking, like the sequential drivers.
-                    break StopReason::Error(SpadeError::InvariantViolation {
-                        cycle: *now,
-                        reason,
-                    });
-                }
-            }
-            if let Some(max_cycles) = watchdog.max_cycles {
-                if *now > max_cycles {
-                    break StopReason::Deadlock(StallKind::CycleBudgetExceeded, 0);
-                }
-            }
-            // Pop every due PE into its shard's work list (same lazy
-            // deletion as the sequential heap; equal wake cycles pop in
-            // PE index order, and shards are contiguous index ranges, so
-            // each shard's list is already in global tick order).
-            for d in dues.iter_mut() {
-                d.clear();
-            }
-            let mut any_due = false;
-            while let Some(&Reverse((w, i))) = ready.peek() {
-                if wake[i] != w || done_mirror[i] {
-                    ready.pop();
-                    continue;
-                }
-                if w > *now {
-                    break;
-                }
-                debug_assert_eq!(w, *now, "ready queue skipped a wake cycle");
-                ready.pop();
-                dues[shard_of[i]].push(i);
-                any_due = true;
-            }
-            let mut progressed = false;
-            if any_due {
-                for (d, slot) in dues.iter_mut().zip(&slots) {
-                    std::mem::swap(&mut lock(slot).due, d);
-                }
-                epoch_now.store(*now, Ordering::Release);
-                released_snap.store(barriers.released(), Ordering::Release);
-                cmd.store(CMD_TICK, Ordering::Release);
-                barrier.wait();
-                barrier.wait();
-                for slot in &slots {
-                    if let Some(msg) = lock(slot).poison.take() {
-                        break 'epochs StopReason::Error(worker_panic(*now, msg));
-                    }
-                }
-                // Replay the logs in global PE order and fold in the
-                // outcomes.
-                for slot in &slots {
-                    let mut guard = lock(slot);
-                    let ShardState {
-                        due, logs, results, ..
-                    } = &mut *guard;
-                    while results.len() < due.len() {
-                        results.push(Vec::new());
-                    }
-                    for (j, &gi) in due.iter().enumerate() {
-                        let res = &mut results[j];
-                        res.clear();
-                        for op in &logs[j] {
-                            match *op {
-                                SharedOp::Read { line, path, class } => {
-                                    let t = mem.read(gi, line, path, class, *now);
-                                    debug_assert!(t > *now, "read completes in the future");
-                                    res.push(t);
-                                }
-                                SharedOp::Write { line, path, class } => {
-                                    let t = mem.write(gi, line, path, class, *now);
-                                    debug_assert!(t > *now, "write accepts in the future");
-                                    res.push(t);
-                                }
-                                SharedOp::Flush => {
-                                    res.push(mem.flush_agent(gi, *now) as u64);
-                                }
-                                SharedOp::Apply {
-                                    row,
-                                    col,
-                                    val,
-                                    seg,
-                                    func_out_idx,
-                                } => {
-                                    data.apply_vop(
-                                        row,
-                                        col,
-                                        val,
-                                        seg as usize,
-                                        func_out_idx as usize,
-                                    );
-                                }
-                                SharedOp::Arrive { id } => barriers.arrive(id),
-                            }
-                        }
-                    }
-                    for o in &guard.out {
-                        if o.done {
-                            // `wake` keeps its due value, mirroring the
-                            // sequential driver's diagnostics snapshots.
-                            done_mirror[o.pe] = true;
-                            live -= 1;
-                        } else if o.progressed {
-                            progressed = true;
-                            wake[o.pe] = *now + 1;
-                            ready.push(Reverse((*now + 1, o.pe)));
-                        } else {
-                            wake[o.pe] = if o.next == Cycle::MAX {
-                                Cycle::MAX
-                            } else {
-                                o.next.max(*now + 1)
-                            };
-                            if wake[o.pe] != Cycle::MAX {
-                                ready.push(Reverse((wake[o.pe], o.pe)));
-                            }
-                        }
-                    }
-                }
-            }
-            if barriers.try_release() {
-                progressed = true;
-                if trace_on {
-                    sched_events.push(
-                        TraceEvent::instant("barrier release", "barrier", *now, sched_lane)
-                            .arg("barrier", barriers.released().saturating_sub(1)),
-                    );
-                }
-                for (i, w) in wake.iter_mut().enumerate() {
-                    if *w != *now + 1 {
-                        *w = *now + 1;
-                        if !done_mirror[i] {
-                            ready.push(Reverse((*now + 1, i)));
-                        }
-                    }
-                }
-            }
-            if any_due {
-                // Resolve runs even when the run is about to finish: the
-                // last flushing PE's deferred flush trace event is emitted
-                // here.
-                cmd.store(CMD_RESOLVE, Ordering::Release);
-                barrier.wait();
-                barrier.wait();
-                for slot in &slots {
-                    if let Some(msg) = lock(slot).poison.take() {
-                        break 'epochs StopReason::Error(worker_panic(*now, msg));
-                    }
-                }
-            }
-            if live == 0 {
-                break StopReason::Finished;
-            }
-            if progressed {
-                *now += 1;
-                continue;
-            }
-            let next = loop {
-                match ready.peek() {
-                    Some(&Reverse((w, i))) if wake[i] != w || done_mirror[i] => {
-                        ready.pop();
-                    }
-                    Some(&Reverse((w, _))) => break Some(w),
-                    None => break None,
-                }
-            };
-            match next {
-                Some(next_event) => {
-                    debug_assert!(next_event > *now);
-                    if trace_on && next_event - *now >= IDLE_TRACE_MIN {
-                        sched_events.push(TraceEvent::complete(
-                            "idle",
-                            "idle",
-                            *now,
-                            next_event - *now,
-                            sched_lane,
-                        ));
-                    }
-                    *now = next_event;
-                }
-                None => {
-                    // Same closed-form replay of the naive idle spin as
-                    // the sequential event driver: idle budgets count
-                    // *global* idle cycles, independent of shard count.
-                    let k_idle = Cycle::from(watchdog.idle_budget.max(1));
-                    let (kind, k) = match watchdog.max_cycles {
-                        Some(mc) if mc - *now + 1 < k_idle => {
-                            (StallKind::CycleBudgetExceeded, mc - *now + 1)
-                        }
-                        _ => (StallKind::IdleLivelock, k_idle),
-                    };
-                    *now += k;
-                    break StopReason::Deadlock(kind, k as u32);
-                }
-            }
-        };
-        cmd.store(CMD_STOP, Ordering::Release);
-        barrier.wait();
-        stop
-    });
-
-    shard_walls.extend(slots.iter().map(|s| lock(s).wall_ns as f64));
-    match stop {
-        StopReason::Finished => None,
-        StopReason::Error(e) => Some(e),
-        StopReason::Deadlock(kind, idle_iters) => {
-            Some(deadlock(kind, *now, idle_iters, pes, wake, mem, barriers))
-        }
-    }
-}
-
-/// The sharded driver's telemetry probe: the memory half reads the real
-/// [`MemorySystem`] (coordinator-owned), the PE half reads the per-shard
-/// observation caches, in shard order — which is global PE order, so the
-/// sample bytes match [`observe_into`] exactly.
-fn observe_shards(
-    mem: &MemorySystem,
-    slots: &[Mutex<ShardState>],
-    counters: &mut TelemetryCounters,
-) -> TelemetryGauges {
-    observe_mem(mem, counters);
-    counters.vops = 0;
-    counters.tuples = 0;
-    counters.stall_no_vr = 0;
-    counters.stall_no_rs = 0;
-    counters.stall_no_dense_lq = 0;
-    counters.pe_vops.clear();
-    let mut gauges = TelemetryGauges::default();
-    for slot in slots {
-        let st = lock(slot);
-        for o in &st.obs {
-            counters.vops += o.vops;
-            counters.tuples += o.tuples;
-            counters.stall_no_vr += o.stall_no_vr;
-            counters.stall_no_rs += o.stall_no_rs;
-            counters.stall_no_dense_lq += o.stall_no_dense_lq;
-            counters.pe_vops.push(o.vops);
-            gauges.in_flight_loads += o.lq_depth;
-            if !o.done {
-                gauges.active_pes += 1;
-            }
-        }
-    }
-    gauges
-}
-
 /// Snapshots the cumulative counters and instantaneous gauges telemetry
 /// samples are differenced from, reusing the recorder's scratch buffer so
 /// the steady-state request path never allocates. Only called at window
@@ -1803,7 +937,15 @@ fn observe_into(
     pes: &[Pe],
     counters: &mut TelemetryCounters,
 ) -> TelemetryGauges {
-    observe_mem(mem, counters);
+    let stats = mem.stats();
+    counters.requests_issued = stats.requests_issued;
+    counters.tlb_misses = stats.tlb_misses;
+    counters.faults_injected = stats.faults_injected;
+    for (i, level) in LevelKind::ALL.iter().enumerate() {
+        let s = stats.level(*level);
+        counters.level_accesses[i] = s.accesses;
+        counters.level_hits[i] = s.hits;
+    }
     counters.vops = 0;
     counters.tuples = 0;
     counters.stall_no_vr = 0;
@@ -1825,20 +967,6 @@ fn observe_into(
         }
     }
     gauges
-}
-
-/// The memory-system half of a telemetry probe, shared between
-/// [`observe_into`] and [`observe_shards`].
-fn observe_mem(mem: &MemorySystem, counters: &mut TelemetryCounters) {
-    let stats = mem.stats();
-    counters.requests_issued = stats.requests_issued;
-    counters.tlb_misses = stats.tlb_misses;
-    counters.faults_injected = stats.faults_injected;
-    for (i, level) in LevelKind::ALL.iter().enumerate() {
-        let s = stats.level(*level);
-        counters.level_accesses[i] = s.accesses;
-        counters.level_hits[i] = s.hits;
-    }
 }
 
 /// Runs the periodic invariant checks: memory-system audit (occupancy,
@@ -2232,75 +1360,6 @@ mod tests {
         assert!(sys.take_telemetry().is_some());
         let trace = sys.take_trace().expect("trace recorded");
         assert!(trace.events.iter().any(|e| e.cat == "watchdog"));
-    }
-
-    #[test]
-    fn sharded_driver_is_bit_identical() {
-        let a = small_matrix();
-        let b = dense(32);
-        let plan = ExecutionPlan {
-            tiling: TilingConfig::new(8, 16).unwrap(),
-            r_policy: RMatrixPolicy::Cache,
-            c_policy: CMatrixPolicy::Cache,
-            barriers: BarrierPolicy::per_column_panel(),
-        };
-        // 16 PEs = 4 clusters of 4: room for genuinely parallel shards.
-        let mut gold_sys = SpadeSystem::new(SystemConfig::scaled(16));
-        gold_sys
-            .set_shards(1)
-            .set_telemetry(Some(64))
-            .set_trace(true);
-        let gold = gold_sys.run_spmm(&a, &b, &plan).unwrap();
-        let gold_tel = gold_sys.take_telemetry().unwrap().to_json().render();
-        let gold_trace = gold_sys.take_trace().unwrap().to_chrome_json();
-        for shards in [2, 3, 4, 7] {
-            let mut sys = SpadeSystem::new(SystemConfig::scaled(16));
-            sys.set_shards(shards)
-                .set_telemetry(Some(64))
-                .set_trace(true);
-            let run = sys.run_spmm(&a, &b, &plan).unwrap();
-            assert_eq!(
-                run.report, gold.report,
-                "report diverged at {shards} shards"
-            );
-            assert_eq!(
-                run.output, gold.output,
-                "output diverged at {shards} shards"
-            );
-            assert_eq!(run.report.shards, shards.min(4) as u32);
-            assert_eq!(run.report.shard_wall_ns.len(), shards.min(4));
-            let tel = sys.take_telemetry().unwrap().to_json().render();
-            assert_eq!(tel, gold_tel, "telemetry bytes diverged at {shards} shards");
-            let trace = sys.take_trace().unwrap().to_chrome_json();
-            assert_eq!(trace, gold_trace, "trace bytes diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_watchdog_trip_matches_sequential() {
-        let a = small_matrix();
-        let b = dense(32);
-        let plan = ExecutionPlan::spmm_base(&a).unwrap();
-        let watchdog = WatchdogConfig {
-            idle_budget: 1_000_000,
-            max_cycles: Some(50),
-        };
-        let gold_err = {
-            let mut sys = SpadeSystem::new(SystemConfig::scaled(16));
-            sys.set_watchdog(watchdog);
-            sys.run_spmm(&a, &b, &plan).unwrap_err()
-        };
-        let sharded_err = {
-            let mut sys = SpadeSystem::new(SystemConfig::scaled(16));
-            sys.set_watchdog(watchdog).set_shards(4);
-            sys.run_spmm(&a, &b, &plan).unwrap_err()
-        };
-        match (gold_err, sharded_err) {
-            (SpadeError::Deadlock { diagnostics: g }, SpadeError::Deadlock { diagnostics: s }) => {
-                assert_eq!(g, s, "stall diagnostics diverged under sharding")
-            }
-            (g, s) => panic!("expected deadlocks, got {g:?} and {s:?}"),
-        }
     }
 
     #[test]

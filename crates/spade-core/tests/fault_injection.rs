@@ -8,7 +8,7 @@ use spade_core::{
     run_sddmm_checked, run_spmm_checked, ExecutionPlan, SpadeError, SpadeSystem, StallKind,
     SystemConfig, WatchdogConfig,
 };
-use spade_matrix::{Coo, DenseMatrix};
+use spade_matrix::{Coo, DenseMatrix, TilingConfig};
 use spade_sim::FaultConfig;
 
 fn matrix() -> Coo {
@@ -160,18 +160,18 @@ fn forced_starvation_returns_deadlock_with_diagnostics() {
 }
 
 #[test]
-fn sharded_starvation_trips_the_global_idle_budget_with_diagnostics() {
+fn barrier_blocked_starvation_trips_the_idle_budget_with_diagnostics() {
     // The same starvation recipe as above, but on a 4-cluster machine with
-    // scheduling barriers and the run split across 4 host shards. Once the
-    // starved PEs wedge, the remaining PEs sit blocked at a cross-shard
-    // barrier no arrival will ever release — the classic hang shape for a
-    // parallel driver. The watchdog must still fire (no hang), the idle
-    // budget must be counted globally (one shared budget, not one per
-    // shard), and the diagnostics must match the sequential driver's
-    // exactly.
+    // scheduling barriers: row panels of 8 give every PE tiles, column
+    // panels of 24 put a barrier after each quarter of the columns. Once
+    // the starved PEs wedge, the remaining PEs sit blocked at a barrier no
+    // arrival will ever release, so no PE has a finite wake. The watchdog must still fire (no hang) after exactly
+    // the idle budget, and the event-driven loop's closed-form replay of
+    // that idle spin must match the naive loop's diagnostics exactly.
     let a = matrix();
     let b = dense(32);
     let mut plan = ExecutionPlan::spmm_base(&a).unwrap();
+    plan.tiling = TilingConfig::new(8, 24).unwrap();
     plan.barriers = spade_core::BarrierPolicy::per_column_panel();
     let mut cfg = SystemConfig::scaled(16);
     cfg.pipeline.vrf_regs = 2;
@@ -181,28 +181,27 @@ fn sharded_starvation_trips_the_global_idle_budget_with_diagnostics() {
         idle_budget: 10_000,
         max_cycles: None,
     };
-    let diag_at = |shards: usize| {
+    let diag_with = |fast_forward: bool| {
         let mut sys = SpadeSystem::new(cfg.clone());
-        sys.set_watchdog(watchdog).set_shards(shards);
+        sys.set_watchdog(watchdog).set_fast_forward(fast_forward);
         let err = sys.run_spmm(&a, &b, &plan).unwrap_err();
         let SpadeError::Deadlock { diagnostics } = err else {
-            panic!("expected Deadlock at {shards} shards, got {err:?}");
+            panic!("expected Deadlock (fast_forward={fast_forward}), got {err:?}");
         };
         diagnostics
     };
-    let sequential = diag_at(1);
-    let sharded = diag_at(4);
-    assert_eq!(sequential.kind, StallKind::IdleLivelock);
-    // idle_iters equal to the budget on both drivers pins the global
-    // accounting: a per-shard budget would fire after 4x fewer global
-    // idle cycles and the snapshots would differ.
-    assert_eq!(sharded.idle_iters, watchdog.idle_budget);
+    let event = diag_with(true);
+    assert_eq!(event.kind, StallKind::IdleLivelock);
+    assert_eq!(event.idle_iters, watchdog.idle_budget);
     assert_eq!(
-        *sequential, *sharded,
-        "stall diagnostics diverged under sharding"
+        *event,
+        *diag_with(false),
+        "stall diagnostics diverged between the event-driven and naive loops"
     );
+    assert!(event.barrier_arrived > 0, "no PE reached the barrier");
+    assert_eq!(event.barrier_released, 0);
     // The snapshot names the barrier-blocked PEs so the hang is debuggable.
-    assert_eq!(sharded.pes.len(), 16);
+    assert_eq!(event.pes.len(), 16);
 }
 
 #[test]

@@ -23,12 +23,6 @@ cargo test --release --manifest-path perfbench/Cargo.toml \
 echo "== fault-injection stress (release, auditor on)"
 SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
 
-echo "== multi-shard equivalence (SPADE_SIM_SHARDS=4)"
-# Every simulation split across 4 host shards via the environment knob:
-# results must stay bit-identical to the sequential drivers everywhere.
-SPADE_SIM_SHARDS=4 cargo test -p spade-bench --test sharded_equivalence -q
-SPADE_SIM_SHARDS=4 cargo test -p spade-bench --test scheduler_equivalence -q
-
 echo "== trace smoke + golden-file check"
 # The trace format contains no wall-clock values, so the emitted bytes are
 # fully deterministic: any drift against the committed golden file is a
@@ -52,16 +46,14 @@ elif ! cmp -s "$smoke" "$golden"; then
 fi
 
 echo "== bench-perf regression gate (release)"
-# Event-driven vs naive driver, the memory fast path vs the forced slow
-# path, and the sharded driver vs sequential: all three are
-# equivalence-checked on every run, and the speedup figures must stay
-# above the committed floors (measured headroom: ~1.45x event-driver and
-# ~1.1-1.3x memory-path on the tiny suite). The shard gate downgrades
-# itself to a warning on hosts with fewer cores than shards.
+# Event-driven vs naive driver and the memory fast path vs the forced
+# slow path: both are equivalence-checked on every run, and the speedup
+# figures must stay above the committed floors (measured headroom:
+# ~1.45x event-driver and ~1.1-1.3x memory-path on the tiny suite).
 cargo build --release -q -p spade-cli
 ./target/release/spade-cli bench-perf --scale tiny --k 32 --pes 8 \
   --gate-speedup 1.3 --gate-mem-speedup 1.05 \
-  --shards 4 --gate-shard-speedup 1.5 --out "$bench_out" >/dev/null
+  --out "$bench_out" >/dev/null
 
 echo "== bench-advise quality gate (release)"
 # Millisecond plan selection vs the simulated ground truth: per-benchmark
