@@ -34,10 +34,17 @@ fn observable_bytes(o: &JobOutput) -> (String, String) {
 /// Builds paired (event, naive) observed jobs for a fig9 subset: base
 /// plans on an 8-PE machine, plus four column panels with a barrier after
 /// each on a 16-PE, 4-cluster machine, where every PE blocks at each
-/// barrier and a release wakes PEs in every cluster at once.
+/// barrier and a release wakes PEs in every cluster at once. On MYC and
+/// KRO, Table 4's CFG0 and CFG1 also run base plans at four pipeline steps
+/// per system cycle (`clock_mult = 4`), and the barrier plan also runs on
+/// 72 PEs, past the first 64-PE word of the event loop's due sets (ROA,
+/// the slowest graph under the naive oracle, skips these three).
 fn paired_jobs() -> Vec<Job> {
     let base_machine = Arc::new(machines::spade_system(8));
     let barrier_machine = Arc::new(machines::spade_system(16));
+    let cfg0 = Arc::new(SystemConfig::table4_cfg(&machines::spade_system(16), 0));
+    let cfg1 = Arc::new(SystemConfig::table4_cfg(&machines::spade_system(16), 1));
+    let wide_machine = Arc::new(machines::spade_system(72));
     let mut jobs = Vec::new();
     for benchmark in [Benchmark::Myc, Benchmark::Kro, Benchmark::Roa] {
         let w = Arc::new(Workload::prepare(benchmark, Scale::Tiny, 32));
@@ -47,7 +54,15 @@ fn paired_jobs() -> Vec<Job> {
             barriers: BarrierPolicy::per_column_panel(),
             ..base_plan
         };
-        for (cfg, plan) in [(&base_machine, base_plan), (&barrier_machine, barrier_plan)] {
+        let mut machines = vec![(&base_machine, base_plan), (&barrier_machine, barrier_plan)];
+        if benchmark != Benchmark::Roa {
+            machines.extend([
+                (&cfg0, base_plan),
+                (&cfg1, base_plan),
+                (&wide_machine, barrier_plan),
+            ]);
+        }
+        for (cfg, plan) in machines {
             for primitive in [Primitive::Spmm, Primitive::Sddmm] {
                 let job = Job::new(&w, cfg, primitive, plan)
                     .with_telemetry(Some(128))
@@ -65,10 +80,11 @@ fn paired_jobs() -> Vec<Job> {
 fn assert_pairs_identical(jobs: &[Job], outputs: &[JobOutput]) {
     for (pair, job) in outputs.chunks_exact(2).zip(jobs.chunks_exact(2)) {
         let label = format!(
-            "{}/{:?}/{} PEs/barriers={}",
+            "{}/{:?}/{} PEs/clock_mult={}/barriers={}",
             job[0].workload.name,
             job[0].primitive,
             job[0].config.num_pes,
+            job[0].config.pipeline.clock_mult,
             job[0].plan.barriers.is_enabled()
         );
         assert_eq!(

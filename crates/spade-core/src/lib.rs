@@ -45,6 +45,7 @@
 
 mod addr;
 pub mod advisor;
+mod bitset;
 mod config;
 mod diag;
 mod error;

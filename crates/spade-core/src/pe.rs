@@ -194,6 +194,16 @@ struct RsEntry {
     func_out_idx: u64,
 }
 
+impl RsEntry {
+    /// The first cycle this vOp can dispatch at: both operands resident
+    /// and the destination's previous write complete.
+    fn ready_at(&self, vrf: &Vrf) -> Cycle {
+        vrf.ready_at(self.op1)
+            .max(vrf.ready_at(self.op2))
+            .max(vrf.last_write_done(self.dest))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     done: Cycle,
@@ -337,6 +347,15 @@ pub struct Pe {
     /// queue on the hot path); tombstones drain from the front eagerly and
     /// the deque is compacted in place once they dominate it.
     rs: VecDeque<Option<RsEntry>>,
+    /// Per-slot lower bound on when each `rs` entry can dispatch, kept in
+    /// lockstep with `rs`; tombstones hold `Cycle::MAX`. The dispatch scan
+    /// skips every slot whose bound is still in the future and refreshes
+    /// the bound of each slot it finds not ready, so only entries that may
+    /// have become ready cost VRF reads. A bound stays valid while its
+    /// entry waits: the entry's references pin its registers (no eviction
+    /// or refill), a fill completing at `t` turns resident only at
+    /// `now >= t`, and `last_write_done` only grows.
+    rs_bound: VecDeque<Cycle>,
     /// Live (non-tombstone) reservation-station entries; this — not
     /// `rs.len()` — is the architectural occupancy.
     rs_live: usize,
@@ -354,15 +373,18 @@ pub struct Pe {
     /// Write-back manager hysteresis: currently draining toward `wb_lo`.
     wb_draining: bool,
     /// Earliest cycle at which a reservation-station scan can find a ready
-    /// vOp (event-driven gate for the dispatch scan).
+    /// vOp (event-driven gate for the dispatch scan): the smallest slot
+    /// bound of the last scan that found nothing, or the current cycle
+    /// after a dispatch or a new entry, so the next pipeline step — in the
+    /// same cycle when `clock_mult > 1` — scans again.
     rs_next_try: Cycle,
     /// Whether the dispatch scan honors `rs_next_try`. The event-driven
     /// driver relies on the gate; the naive oracle loop disables it so
-    /// every polled cycle pays the full architectural ready scan, like a
-    /// textbook cycle-by-cycle simulator. The gate is a pure
-    /// short-circuit — a scan before `rs_next_try` finds nothing ready —
-    /// so both settings dispatch identically (the `scheduler_equivalence`
-    /// suite checks this byte-for-byte).
+    /// every polled step runs the scan, like a textbook cycle-by-cycle
+    /// simulator. The gate is a pure short-circuit — a scan before
+    /// `rs_next_try` finds nothing ready — so both settings dispatch
+    /// identically (the `scheduler_equivalence` suite checks this
+    /// byte-for-byte).
     event_gates: bool,
     /// Set when the vOp generator stalled on VRF allocation; cleared by
     /// any event that frees a register (retire, write-back, load arrival).
@@ -402,6 +424,7 @@ impl Pe {
             sparse_lq: VecDeque::with_capacity(cfg.sparse_lq_entries),
             top_q: VecDeque::with_capacity(cfg.top_queue_entries),
             rs: VecDeque::with_capacity(cfg.rs_entries * 2),
+            rs_bound: VecDeque::with_capacity(cfg.rs_entries * 2),
             rs_live: 0,
             in_flight: VecDeque::new(),
             vrf: Vrf::new(cfg.vrf_regs),
@@ -642,36 +665,48 @@ impl Pe {
         //     order, so the first ready entry is the oldest ready one).
         //     The scan is gated on `rs_next_try`: a failed scan computes a
         //     lower bound on when any entry can become ready, and only a
-        //     load arrival or a new entry re-arms it earlier. ─
+        //     load arrival or a new entry re-arms it earlier. Within a
+        //     scan, slots whose own bound is in the future are skipped
+        //     without touching the VRF (see `rs_bound`). ─
         if self.rs_live > 0 && (now >= self.rs_next_try || !self.event_gates) {
             let mut best: Option<usize> = None;
-            let mut bound = Cycle::MAX;
-            for (idx, slot) in self.rs.iter().enumerate() {
-                // Tombstones occupy no architectural slot and never
-                // reorder the live entries around them, so skipping them
-                // preserves the oldest-ready-first dispatch order exactly.
-                let Some(e) = slot else { continue };
-                let ready_at = self
-                    .vrf
-                    .ready_at(e.op1)
-                    .max(self.vrf.ready_at(e.op2))
-                    .max(self.vrf.last_write_done(e.dest));
+            let mut next_try = Cycle::MAX;
+            for (idx, bound) in self.rs_bound.iter_mut().enumerate() {
+                // Tombstones hold `Cycle::MAX`: they occupy no
+                // architectural slot and never reorder the live entries
+                // around them, so skipping them preserves the
+                // oldest-ready-first dispatch order exactly.
+                if *bound > now {
+                    debug_assert!(
+                        self.rs[idx].is_none_or(|e| e.ready_at(&self.vrf) > now),
+                        "RS slot {idx} was ready before its bound {bound} (cycle {now})"
+                    );
+                    next_try = next_try.min(*bound);
+                    continue;
+                }
+                let Some(e) = &self.rs[idx] else { continue };
+                let ready_at = e.ready_at(&self.vrf);
                 if ready_at <= now {
                     best = Some(idx);
                     break;
                 }
-                bound = bound.min(ready_at);
+                *bound = ready_at;
+                next_try = next_try.min(ready_at);
             }
             if let Some(idx) = best {
                 let e = self.rs[idx].take().expect("scan found a live entry");
+                self.rs_bound[idx] = Cycle::MAX;
                 self.rs_live -= 1;
                 // Drain leading tombstones so the common oldest-first
                 // dispatch keeps the deque short, then compact in place
                 // (order-preserving) if tombstones still dominate.
                 while self.rs.front().is_some_and(Option::is_none) {
                     self.rs.pop_front();
+                    self.rs_bound.pop_front();
                 }
                 if self.rs.len() >= self.rs_live * 2 + 2 {
+                    let mut live = self.rs.iter().map(Option::is_some);
+                    self.rs_bound.retain(|_| live.next() == Some(true));
                     self.rs.retain(Option::is_some);
                 }
                 let done = now + self.cfg.simd_latency;
@@ -687,11 +722,12 @@ impl Pe {
                     seg: e.seg,
                     func_out_idx: e.func_out_idx,
                 });
-                // Dispatch is one per cycle; try again next cycle.
-                self.rs_next_try = now + 1;
+                // Dispatch is one per pipeline step; the next step may
+                // try again, in this same cycle when `clock_mult > 1`.
+                self.rs_next_try = now;
                 progressed = true;
             } else {
-                self.rs_next_try = bound.max(now + 1);
+                self.rs_next_try = next_try.max(now + 1);
             }
         }
 
@@ -719,7 +755,7 @@ impl Pe {
                 if t.next_seg >= self.params.lines_per_row {
                     self.top_q.pop_front();
                 }
-                self.rs_next_try = self.rs_next_try.min(now + 1);
+                self.rs_next_try = self.rs_next_try.min(now);
                 progressed = true;
             } else {
                 self.alloc_blocked = true;
@@ -892,6 +928,7 @@ impl Pe {
             seg: top.next_seg,
             func_out_idx: top.func_out_idx,
         }));
+        self.rs_bound.push_back(0);
         self.rs_live += 1;
         true
     }
@@ -1050,7 +1087,6 @@ impl Pe {
         }
     }
 
-    /// Earliest future event this PE is waiting on.
     /// The earliest *future* event that can unblock this PE. Events at or
     /// before `now` were already harvested by this tick; one that is still
     /// pending (e.g. a ready sparse-LQ entry behind a full tOp queue) can
@@ -1073,7 +1109,9 @@ impl Pe {
         if let Some(e) = self.sparse_lq.front() {
             fold(e.ready_at);
         }
-        for f in &self.in_flight {
+        // Completions are FIFO (see `in_flight`), so the front is the
+        // earliest.
+        if let Some(f) = self.in_flight.front() {
             fold(f.done);
         }
         if let PeState::Fetching { until } = self.state {

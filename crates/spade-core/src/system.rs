@@ -10,6 +10,7 @@ use spade_sim::{
     TelemetryRecorder, TelemetrySeries, TraceEvent, TraceLog,
 };
 
+use crate::bitset::BitSet;
 use crate::pe::{BarrierSync, KernelData, Pe, PeStats, RuntimeParams, TickResult};
 use crate::{
     AddressMap, ExecutionPlan, Primitive, RunReport, Schedule, SpadeError, StallDiagnostics,
@@ -124,17 +125,16 @@ impl SpadeSystem {
 
     /// Selects the driver for the cycle loop (event-driven by default).
     ///
-    /// When enabled, the loop is an event-driven ready queue: PEs are held
-    /// in a min-heap keyed by their next wake cycle, only due PEs are
-    /// ticked, and the clock jumps straight across idle gaps. Disabling it
-    /// forces the naive loop that visits every cycle and polls every PE —
-    /// kept purely as the behavioral oracle. Both drivers produce
-    /// bit-identical outputs, reports, telemetry, and traces (see the
-    /// `fast_forward` property tests and the `scheduler_equivalence`
-    /// suite); the naive loop just spends host time proportional to
-    /// simulated cycles × PEs (each poll paying the full ready-scan cost —
-    /// the per-PE event gates are disabled too) instead of to actual
-    /// events.
+    /// When enabled, the loop is event-driven: each PE is due at its next
+    /// wake cycle, only due PEs are ticked, and the clock jumps straight
+    /// across idle gaps. Disabling it forces the naive loop that visits
+    /// every cycle and polls every PE — kept purely as the behavioral
+    /// oracle. Both drivers produce bit-identical outputs, reports,
+    /// telemetry, and traces (see the `fast_forward` property tests and
+    /// the `scheduler_equivalence` suite); the naive loop just spends host
+    /// time proportional to simulated cycles × PEs (each poll also running
+    /// the reservation-station scan — the per-PE event gates are disabled
+    /// too) instead of to actual events.
     pub fn set_fast_forward(&mut self, enabled: bool) -> &mut Self {
         self.fast_forward = enabled;
         self
@@ -593,13 +593,18 @@ struct LoopEnv<'a, 'b> {
 
 /// The event-driven cycle-loop driver (the default).
 ///
-/// PEs sit in a lazy-deletion min-heap keyed by `(wake cycle, PE index)`;
-/// an entry is valid iff it still matches `wake[i]` and the PE is live.
-/// Each iteration visits one cycle: it pops and ticks every due PE (equal
-/// wake cycles pop in PE index order, matching the naive scan's
-/// shared-resource arbitration), then jumps `now` to the next valid entry.
-/// Host work per visited cycle is `O(due PEs · log num_pes)` instead of the
-/// naive loop's `O(num_pes)` per simulated cycle.
+/// The PEs due at `now` and at `now + 1` are two bitsets over PE indices;
+/// wakes further out sit in a lazy-deletion min-heap keyed by `(wake
+/// cycle, PE index)`, where an entry is valid iff it still matches
+/// `wake[i]` and the PE is live. Each iteration visits one cycle: it moves
+/// the heap entries that came due into the current set, ticks its PEs in
+/// ascending index order (the naive scan's shared-resource arbitration
+/// order, and the heap's `(wake, index)` order), then either steps to the
+/// next cycle or, when nothing is due there, jumps `now` to the heap's
+/// next valid entry. A PE that progressed or waits for exactly the next
+/// cycle — the common case — never touches the heap, and a barrier
+/// release sets next-cycle bits. Host work per visited cycle follows the
+/// due PEs instead of the naive loop's `O(num_pes)` per simulated cycle.
 ///
 /// Equivalence with [`run_naive_loop`] rests on three facts. First, both
 /// drivers tick exactly the PEs whose wake cycle has arrived, in index
@@ -631,12 +636,14 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
         sched_lane,
     } = env;
     let mut live = pes.iter().filter(|pe| !pe.is_done()).count();
-    let mut ready: BinaryHeap<Reverse<(Cycle, usize)>> = pes
-        .iter()
-        .enumerate()
-        .filter(|(_, pe)| !pe.is_done())
-        .map(|(i, _)| Reverse((0, i)))
-        .collect();
+    let mut due_now = BitSet::new(pes.len());
+    let mut due_next = BitSet::new(pes.len());
+    for (i, pe) in pes.iter().enumerate() {
+        if !pe.is_done() {
+            due_now.insert(i);
+        }
+    }
+    let mut later: BinaryHeap<Reverse<(Cycle, usize)>> = BinaryHeap::new();
     let mut loop_iters = 0u64;
     loop {
         loop_iters += 1;
@@ -661,17 +668,19 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
                 ));
             }
         }
-        let mut progressed = false;
-        while let Some(&Reverse((w, i))) = ready.peek() {
-            if wake[i] != w || pes[i].is_done() {
-                ready.pop(); // superseded or dead entry (lazy deletion)
-                continue;
-            }
+        while let Some(&Reverse((w, i))) = later.peek() {
             if w > *now {
                 break;
             }
-            debug_assert_eq!(w, *now, "ready queue skipped a wake cycle");
-            ready.pop();
+            later.pop();
+            // Superseded or dead entries are dropped (lazy deletion).
+            if wake[i] == w && !pes[i].is_done() {
+                debug_assert_eq!(w, *now, "the wake heap skipped a wake cycle");
+                due_now.insert(i);
+            }
+        }
+        let mut progressed = false;
+        for i in due_now.iter() {
             let pe = &mut pes[i];
             let mut pe_next = Cycle::MAX;
             let mut pe_progressed = false;
@@ -688,23 +697,23 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
                 live -= 1;
                 continue;
             }
-            if pe_progressed {
-                progressed = true;
-                wake[i] = *now + 1;
-                ready.push(Reverse((*now + 1, i)));
+            progressed |= pe_progressed;
+            // Waiting(MAX) means blocked on a barrier; no wake entry — a
+            // release sets the PE's next-cycle bit below.
+            wake[i] = if pe_progressed {
+                *now + 1
+            } else if pe_next == Cycle::MAX {
+                Cycle::MAX
             } else {
-                // Waiting(MAX) means blocked on a barrier; no queue entry —
-                // a release re-queues it below.
-                wake[i] = if pe_next == Cycle::MAX {
-                    Cycle::MAX
-                } else {
-                    pe_next.max(*now + 1)
-                };
-                if wake[i] != Cycle::MAX {
-                    ready.push(Reverse((wake[i], i)));
-                }
+                pe_next.max(*now + 1)
+            };
+            if wake[i] == *now + 1 {
+                due_next.insert(i);
+            } else if wake[i] != Cycle::MAX {
+                later.push(Reverse((wake[i], i)));
             }
         }
+        due_now.clear();
         if barriers.try_release() {
             progressed = true;
             if trace_on {
@@ -715,28 +724,25 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
             }
             for (i, w) in wake.iter_mut().enumerate() {
                 // Done PEs get their wake reset too (diagnostics snapshots
-                // include them) but never a ready-queue entry. The guard
-                // also keeps a PE that just progressed from being queued
-                // twice for the same cycle.
-                if *w != *now + 1 {
-                    *w = *now + 1;
-                    if !pes[i].is_done() {
-                        ready.push(Reverse((*now + 1, i)));
-                    }
+                // include them) but never a due bit.
+                *w = *now + 1;
+                if !pes[i].is_done() {
+                    due_next.insert(i);
                 }
             }
         }
         if live == 0 {
             return None;
         }
-        if progressed {
+        std::mem::swap(&mut due_now, &mut due_next);
+        if progressed || !due_now.is_empty() {
             *now += 1;
             continue;
         }
         let next = loop {
-            match ready.peek() {
+            match later.peek() {
                 Some(&Reverse((w, i))) if wake[i] != w || pes[i].is_done() => {
-                    ready.pop();
+                    later.pop();
                 }
                 Some(&Reverse((w, _))) => break Some(w),
                 None => break None,
@@ -781,8 +787,9 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
 /// The original cycle-by-cycle driver, kept as the behavioral oracle for
 /// [`run_event_loop`]: every simulated cycle is visited and every live PE
 /// polled, whether or not it can act. The PEs run with their dispatch-scan
-/// event gate disabled (see [`Pe::set_event_gates`]), so each poll pays
-/// the full architectural cost a textbook simulator would.
+/// event gate disabled (see [`Pe::set_event_gates`]), so every poll runs
+/// the reservation-station scan; the scan itself, with its per-slot
+/// bounds, is the same code under both drivers.
 fn run_naive_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
     let LoopEnv {
         pes,

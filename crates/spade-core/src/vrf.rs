@@ -7,58 +7,14 @@
 //! and the write-back manager drains dirty registers between the
 //! 25 % / 15 % occupancy thresholds (§5.1 ⑨).
 
-use std::collections::HashMap;
-
 use spade_sim::{Cycle, DataClass, Line};
+
+use crate::bitset::{ones, BitSet};
 
 /// Index of a vector register.
 pub type VrId = usize;
 
-/// Load state of one register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VrState {
-    /// No valid tag.
-    Invalid,
-    /// A fill is in flight; data arrives at the cycle payload.
-    Loading {
-        /// Completion time of the fill.
-        ready_at: Cycle,
-    },
-    /// Data resident.
-    Ready,
-}
-
-/// One vector register's bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct Vr {
-    tag: Line,
-    state: VrState,
-    dirty: bool,
-    /// Pending vOps referencing this register (operand or destination).
-    refs: u32,
-    /// Completion time of the last vOp writing this register — the RAW
-    /// chain for accumulations into the same line.
-    last_write_done: Cycle,
-    /// LRU stamp for clean-eviction choice.
-    last_use: u64,
-    class: DataClass,
-}
-
 const NO_TAG: Line = Line::MAX;
-
-impl Vr {
-    fn empty() -> Self {
-        Vr {
-            tag: NO_TAG,
-            state: VrState::Invalid,
-            dirty: false,
-            refs: 0,
-            last_write_done: 0,
-            last_use: 0,
-            class: DataClass::RMatrix,
-        }
-    }
-}
 
 /// Result of a [`Vrf::lookup_or_alloc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +31,14 @@ pub enum AllocOutcome {
 
 /// The vector register file.
 ///
+/// Each register field is one array indexed by [`VrId`], and the status
+/// RAM is four bitsets over register ids: invalid (no tag), resident
+/// (data arrived), dirty and referenced (pending vOps hold it). A register
+/// that is neither invalid nor resident is loading. The tag CAM is a
+/// compare over the tag array, and the allocator's and write-back
+/// manager's candidate sets are word-wise combinations of the bitsets, so
+/// neither walks registers that cannot qualify.
+///
 /// # Example
 ///
 /// ```
@@ -89,11 +53,25 @@ pub enum AllocOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Vrf {
-    regs: Vec<Vr>,
-    cam: HashMap<Line, VrId>,
-    dirty_count: usize,
+    /// The line each register caches; `NO_TAG` while invalid.
+    tags: Vec<Line>,
+    /// When each register has its data: `Cycle::MAX` while invalid, the
+    /// fill completion while loading, 0 once resident.
+    ready: Vec<Cycle>,
+    /// Pending vOps referencing each register (operand or destination).
+    refs: Vec<u32>,
+    /// Completion time of the last vOp writing each register — the RAW
+    /// chain for accumulations into the same line.
+    last_write_done: Vec<Cycle>,
+    /// LRU stamps for the eviction and write-back choices; the stamps of
+    /// valid registers are unique, so "least recently used" never ties.
+    last_use: Vec<u64>,
+    class: Vec<DataClass>,
+    invalid: BitSet,
+    resident: BitSet,
+    dirty: BitSet,
+    referenced: BitSet,
     tick: u64,
-    wb_cursor: usize,
 }
 
 impl Vrf {
@@ -105,91 +83,116 @@ impl Vrf {
     pub fn new(num_regs: usize) -> Self {
         assert!(num_regs > 0, "the VRF needs at least one register");
         Vrf {
-            regs: vec![Vr::empty(); num_regs],
-            cam: HashMap::with_capacity(num_regs * 2),
-            dirty_count: 0,
+            tags: vec![NO_TAG; num_regs],
+            ready: vec![Cycle::MAX; num_regs],
+            refs: vec![0; num_regs],
+            last_write_done: vec![0; num_regs],
+            last_use: vec![0; num_regs],
+            class: vec![DataClass::RMatrix; num_regs],
+            invalid: BitSet::full(num_regs),
+            resident: BitSet::new(num_regs),
+            dirty: BitSet::new(num_regs),
+            referenced: BitSet::new(num_regs),
             tick: 0,
-            wb_cursor: 0,
         }
     }
 
     /// Total registers.
     pub fn num_regs(&self) -> usize {
-        self.regs.len()
+        self.tags.len()
     }
 
     /// Currently dirty registers.
     pub fn dirty_count(&self) -> usize {
-        self.dirty_count
+        self.dirty.len()
     }
 
     /// Dirty fraction in `[0, 1]`.
     pub fn dirty_fraction(&self) -> f64 {
-        self.dirty_count as f64 / self.regs.len() as f64
+        self.dirty_count() as f64 / self.num_regs() as f64
+    }
+
+    /// Whether a fill is in flight for `id`.
+    fn loading(&self, id: VrId) -> bool {
+        !self.invalid.contains(id) && !self.resident.contains(id)
+    }
+
+    /// `f(resident, dirty, referenced)` for each word of the status
+    /// bitsets: a candidate set built word by word.
+    fn status_words<'a>(
+        &'a self,
+        f: impl Fn(u64, u64, u64) -> u64 + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let words = self.resident.words().iter().zip(self.dirty.words());
+        words
+            .zip(self.referenced.words())
+            .map(move |((&res, &dirty), &refd)| f(res, dirty, refd))
+    }
+
+    /// The first register with the smallest `last_use` among the set bits
+    /// of `candidates` that also pass `eligible`.
+    fn least_recent(
+        &self,
+        candidates: impl IntoIterator<Item = u64>,
+        eligible: impl Fn(VrId) -> bool,
+    ) -> Option<VrId> {
+        ones(candidates)
+            .filter(|&id| eligible(id))
+            .min_by_key(|&id| self.last_use[id])
     }
 
     /// Finds `line` in the tag CAM or allocates a register for it.
     ///
-    /// Allocation prefers invalid registers, then the least-recently-used
-    /// clean, unreferenced, resident register (silently evicted — clean
-    /// data needs no write-back). Returns [`AllocOutcome::Stall`] when
-    /// nothing can be evicted.
+    /// Allocation prefers the lowest-numbered invalid register, then the
+    /// least-recently-used clean, unreferenced, resident register
+    /// (silently evicted — clean data needs no write-back). Returns
+    /// [`AllocOutcome::Stall`] when nothing can be evicted.
     pub fn lookup_or_alloc(&mut self, line: Line, class: DataClass) -> AllocOutcome {
+        debug_assert_ne!(line, NO_TAG, "line {line} is the invalid-register tag");
         self.tick += 1;
-        if let Some(&id) = self.cam.get(&line) {
-            self.regs[id].last_use = self.tick;
+        if let Some(id) = self.tags.iter().position(|&t| t == line) {
+            self.last_use[id] = self.tick;
             return AllocOutcome::Reused(id);
         }
-        // Invalid register?
-        let slot = self.regs.iter().position(|r| r.state == VrState::Invalid);
-        let slot = slot.or_else(|| {
-            // LRU clean eviction candidate.
-            self.regs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.state == VrState::Ready && !r.dirty && r.refs == 0)
-                .min_by_key(|(_, r)| r.last_use)
-                .map(|(i, _)| i)
-        });
-        let Some(id) = slot else {
+        let clean_idle = self.status_words(|res, dirty, refd| res & !dirty & !refd);
+        let Some(id) = self
+            .invalid
+            .first()
+            .or_else(|| self.least_recent(clean_idle, |_| true))
+        else {
             return AllocOutcome::Stall;
         };
-        if self.regs[id].tag != NO_TAG {
-            self.cam.remove(&self.regs[id].tag);
-        }
-        self.regs[id] = Vr {
-            tag: line,
-            state: VrState::Loading {
-                ready_at: Cycle::MAX,
-            },
-            dirty: false,
-            refs: 0,
-            last_write_done: 0,
-            last_use: self.tick,
-            class,
-        };
-        self.cam.insert(line, id);
+        debug_assert!(!self.dirty.contains(id) && self.refs[id] == 0);
+        self.tags[id] = line;
+        self.ready[id] = Cycle::MAX;
+        self.last_write_done[id] = 0;
+        self.last_use[id] = self.tick;
+        self.class[id] = class;
+        self.invalid.remove(id);
+        self.resident.remove(id);
         AllocOutcome::Allocated(id)
     }
 
     /// Marks a fill in flight, completing at `ready_at`.
     pub fn set_loading(&mut self, id: VrId, ready_at: Cycle) {
-        self.regs[id].state = VrState::Loading { ready_at };
+        self.ready[id] = ready_at;
+        self.invalid.remove(id);
+        self.resident.remove(id);
     }
 
     /// Marks the register resident immediately (write-only destinations:
     /// SDDMM output lines are fully produced, never read, §5.1).
     pub fn set_ready(&mut self, id: VrId) {
-        self.regs[id].state = VrState::Ready;
+        self.ready[id] = 0;
+        self.invalid.remove(id);
+        self.resident.insert(id);
     }
 
     /// Promotes registers whose fills have arrived by `now`.
     pub fn complete_loads(&mut self, now: Cycle) {
-        for r in &mut self.regs {
-            if let VrState::Loading { ready_at } = r.state {
-                if ready_at <= now {
-                    r.state = VrState::Ready;
-                }
+        for id in 0..self.num_regs() {
+            if self.loading(id) && self.ready[id] <= now {
+                self.set_ready(id);
             }
         }
     }
@@ -197,55 +200,44 @@ impl Vrf {
     /// The cycle at which `id` has its data (now or in the future);
     /// `Cycle::MAX` while invalid.
     pub fn ready_at(&self, id: VrId) -> Cycle {
-        match self.regs[id].state {
-            VrState::Invalid => Cycle::MAX,
-            VrState::Loading { ready_at } => ready_at,
-            VrState::Ready => 0,
-        }
+        self.ready[id]
     }
 
     /// Adds a pending-vOp reference.
     pub fn add_ref(&mut self, id: VrId) {
-        self.regs[id].refs += 1;
+        self.refs[id] += 1;
+        self.referenced.insert(id);
     }
 
     /// Releases a pending-vOp reference. The caller (the PE retire stage)
     /// balances every `add_ref` with one release; an unbalanced release is
     /// a pipeline bug, checked in debug builds.
     pub fn release_ref(&mut self, id: VrId) {
-        debug_assert!(self.regs[id].refs > 0, "unbalanced release on VR {id}");
-        self.regs[id].refs = self.regs[id].refs.saturating_sub(1);
+        debug_assert!(self.refs[id] > 0, "unbalanced release on VR {id}");
+        self.refs[id] = self.refs[id].saturating_sub(1);
+        if self.refs[id] == 0 {
+            self.referenced.remove(id);
+        }
     }
 
     /// The RAW chain: when the last write to `id` completes.
     pub fn last_write_done(&self, id: VrId) -> Cycle {
-        self.regs[id].last_write_done
+        self.last_write_done[id]
     }
 
     /// Records a write to `id` completing at `done` and marks it dirty.
     pub fn record_write(&mut self, id: VrId, done: Cycle) {
-        let r = &mut self.regs[id];
-        if !r.dirty {
-            self.dirty_count += 1;
-        }
-        r.dirty = true;
-        r.last_write_done = r.last_write_done.max(done);
+        self.dirty.insert(id);
+        self.last_write_done[id] = self.last_write_done[id].max(done);
     }
 
     /// Picks a dirty register eligible for write-back: resident,
     /// unreferenced, and not written again in the future (`now` ≥ its last
     /// write completion). Least-recently-used dirty registers are drained
     /// first — they are the least likely to be written again.
-    pub fn writeback_candidate(&mut self, now: Cycle) -> Option<VrId> {
-        let _ = self.wb_cursor;
-        self.regs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                r.dirty && r.refs == 0 && r.state == VrState::Ready && r.last_write_done <= now
-            })
-            .min_by_key(|(_, r)| r.last_use)
-            .map(|(i, _)| i)
+    pub fn writeback_candidate(&self, now: Cycle) -> Option<VrId> {
+        let dirty_idle = self.status_words(|res, dirty, refd| res & dirty & !refd);
+        self.least_recent(dirty_idle, |id| self.last_write_done[id] <= now)
     }
 
     /// Cleans `id` after its write-back is issued, returning the line and
@@ -253,13 +245,9 @@ impl Vrf {
     /// candidates; cleaning a clean one is a pipeline bug, checked in
     /// debug builds.
     pub fn clean(&mut self, id: VrId) -> (Line, DataClass) {
-        let r = &mut self.regs[id];
-        debug_assert!(r.dirty, "cleaning a clean register");
-        if r.dirty {
-            self.dirty_count -= 1;
-        }
-        r.dirty = false;
-        (r.tag, r.class)
+        debug_assert!(self.dirty.contains(id), "cleaning a clean register");
+        self.dirty.remove(id);
+        (self.tags[id], self.class[id])
     }
 
     /// All dirty registers' (line, class), for the final VRF drain of a
@@ -275,38 +263,32 @@ impl Vrf {
     /// PE flushing repeatedly allocates nothing in steady state. Returns
     /// how many entries were appended.
     pub fn drain_dirty_into<B: Extend<(Line, DataClass)>>(&mut self, out: &mut B) -> usize {
-        let mut n = 0;
-        for r in &mut self.regs {
-            if r.dirty {
-                out.extend(std::iter::once((r.tag, r.class)));
-                n += 1;
-                r.dirty = false;
-            }
-            if r.tag != NO_TAG {
-                self.cam.remove(&r.tag);
-            }
-            *r = Vr::empty();
-        }
-        self.dirty_count = 0;
+        let n = self.dirty_count();
+        out.extend(self.dirty.iter().map(|id| (self.tags[id], self.class[id])));
+        self.tags.fill(NO_TAG);
+        self.ready.fill(Cycle::MAX);
+        self.refs.fill(0);
+        self.last_write_done.fill(0);
+        self.last_use.fill(0);
+        self.class.fill(DataClass::RMatrix);
+        self.invalid.insert_below(self.tags.len());
+        self.resident.clear();
+        self.dirty.clear();
+        self.referenced.clear();
         n
     }
 
     /// Whether every register is idle (no refs, no loads in flight). Dirty
     /// registers are allowed — barriers do not force write-backs.
     pub fn is_quiescent(&self) -> bool {
-        self.regs
-            .iter()
-            .all(|r| r.refs == 0 && !matches!(r.state, VrState::Loading { .. }))
+        self.referenced.is_empty() && !(0..self.num_regs()).any(|id| self.loading(id))
     }
 
     /// Earliest in-flight fill completion, if any (for idle fast-forward).
     pub fn next_load_completion(&self) -> Option<Cycle> {
-        self.regs
-            .iter()
-            .filter_map(|r| match r.state {
-                VrState::Loading { ready_at } => Some(ready_at),
-                _ => None,
-            })
+        (0..self.num_regs())
+            .filter(|&id| self.loading(id))
+            .map(|id| self.ready[id])
             .min()
     }
 }

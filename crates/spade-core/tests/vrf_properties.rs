@@ -1,8 +1,9 @@
 //! Randomized tests of the vector register file: CAM consistency,
 //! reference counting, and write-back eligibility under arbitrary
-//! operation sequences drawn from a deterministic RNG stream.
+//! operation sequences drawn from a deterministic RNG stream, and
+//! choice-for-choice agreement with a reference model of the VRF.
 
-use spade_core::vrf::{AllocOutcome, Vrf};
+use spade_core::vrf::{AllocOutcome, VrId, Vrf};
 use spade_matrix::rng::Rng64;
 use spade_sim::DataClass;
 
@@ -127,5 +128,327 @@ fn vrf_invariants_hold_under_arbitrary_sequences() {
         assert!(drained.len() <= 8);
         assert_eq!(vrf.dirty_count(), 0);
         assert!(vrf.is_quiescent(), "case {case}: VRF not quiescent");
+    }
+}
+
+/// The VRF as it was first written — one record per register and a hash
+/// map as the tag CAM — kept as the reference model the array-and-bitset
+/// [`Vrf`] must match choice for choice: the same register ids, the same
+/// write-back picks and the same drain order, since a register id decides
+/// flush write order.
+mod reference {
+    use std::collections::HashMap;
+
+    use spade_core::vrf::{AllocOutcome, VrId};
+    use spade_sim::{Cycle, DataClass, Line};
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum VrState {
+        Invalid,
+        Loading { ready_at: Cycle },
+        Ready,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Vr {
+        tag: Line,
+        state: VrState,
+        dirty: bool,
+        refs: u32,
+        last_write_done: Cycle,
+        last_use: u64,
+        class: DataClass,
+    }
+
+    const NO_TAG: Line = Line::MAX;
+
+    impl Vr {
+        fn empty() -> Self {
+            Vr {
+                tag: NO_TAG,
+                state: VrState::Invalid,
+                dirty: false,
+                refs: 0,
+                last_write_done: 0,
+                last_use: 0,
+                class: DataClass::RMatrix,
+            }
+        }
+    }
+
+    pub struct RefVrf {
+        regs: Vec<Vr>,
+        cam: HashMap<Line, VrId>,
+        dirty_count: usize,
+        tick: u64,
+    }
+
+    impl RefVrf {
+        pub fn new(num_regs: usize) -> Self {
+            RefVrf {
+                regs: vec![Vr::empty(); num_regs],
+                cam: HashMap::new(),
+                dirty_count: 0,
+                tick: 0,
+            }
+        }
+
+        pub fn dirty_count(&self) -> usize {
+            self.dirty_count
+        }
+
+        pub fn lookup_or_alloc(&mut self, line: Line, class: DataClass) -> AllocOutcome {
+            self.tick += 1;
+            if let Some(&id) = self.cam.get(&line) {
+                self.regs[id].last_use = self.tick;
+                return AllocOutcome::Reused(id);
+            }
+            let slot = self.regs.iter().position(|r| r.state == VrState::Invalid);
+            let slot = slot.or_else(|| {
+                self.regs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.state == VrState::Ready && !r.dirty && r.refs == 0)
+                    .min_by_key(|(_, r)| r.last_use)
+                    .map(|(i, _)| i)
+            });
+            let Some(id) = slot else {
+                return AllocOutcome::Stall;
+            };
+            if self.regs[id].tag != NO_TAG {
+                self.cam.remove(&self.regs[id].tag);
+            }
+            self.regs[id] = Vr {
+                tag: line,
+                state: VrState::Loading {
+                    ready_at: Cycle::MAX,
+                },
+                dirty: false,
+                refs: 0,
+                last_write_done: 0,
+                last_use: self.tick,
+                class,
+            };
+            self.cam.insert(line, id);
+            AllocOutcome::Allocated(id)
+        }
+
+        pub fn set_loading(&mut self, id: VrId, ready_at: Cycle) {
+            self.regs[id].state = VrState::Loading { ready_at };
+        }
+
+        pub fn set_ready(&mut self, id: VrId) {
+            self.regs[id].state = VrState::Ready;
+        }
+
+        pub fn complete_loads(&mut self, now: Cycle) {
+            for r in &mut self.regs {
+                if let VrState::Loading { ready_at } = r.state {
+                    if ready_at <= now {
+                        r.state = VrState::Ready;
+                    }
+                }
+            }
+        }
+
+        pub fn ready_at(&self, id: VrId) -> Cycle {
+            match self.regs[id].state {
+                VrState::Invalid => Cycle::MAX,
+                VrState::Loading { ready_at } => ready_at,
+                VrState::Ready => 0,
+            }
+        }
+
+        pub fn add_ref(&mut self, id: VrId) {
+            self.regs[id].refs += 1;
+        }
+
+        pub fn release_ref(&mut self, id: VrId) {
+            self.regs[id].refs = self.regs[id].refs.saturating_sub(1);
+        }
+
+        pub fn last_write_done(&self, id: VrId) -> Cycle {
+            self.regs[id].last_write_done
+        }
+
+        pub fn record_write(&mut self, id: VrId, done: Cycle) {
+            let r = &mut self.regs[id];
+            if !r.dirty {
+                self.dirty_count += 1;
+            }
+            r.dirty = true;
+            r.last_write_done = r.last_write_done.max(done);
+        }
+
+        pub fn writeback_candidate(&self, now: Cycle) -> Option<VrId> {
+            self.regs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| {
+                    r.dirty && r.refs == 0 && r.state == VrState::Ready && r.last_write_done <= now
+                })
+                .min_by_key(|(_, r)| r.last_use)
+                .map(|(i, _)| i)
+        }
+
+        pub fn clean(&mut self, id: VrId) -> (Line, DataClass) {
+            let r = &mut self.regs[id];
+            if r.dirty {
+                self.dirty_count -= 1;
+            }
+            r.dirty = false;
+            (r.tag, r.class)
+        }
+
+        pub fn drain_dirty(&mut self) -> Vec<(Line, DataClass)> {
+            let mut out = Vec::new();
+            for r in &mut self.regs {
+                if r.dirty {
+                    out.push((r.tag, r.class));
+                }
+                if r.tag != NO_TAG {
+                    self.cam.remove(&r.tag);
+                }
+                *r = Vr::empty();
+            }
+            self.dirty_count = 0;
+            out
+        }
+
+        pub fn is_quiescent(&self) -> bool {
+            self.regs
+                .iter()
+                .all(|r| r.refs == 0 && !matches!(r.state, VrState::Loading { .. }))
+        }
+
+        pub fn next_load_completion(&self) -> Option<Cycle> {
+            self.regs
+                .iter()
+                .filter_map(|r| match r.state {
+                    VrState::Loading { ready_at } => Some(ready_at),
+                    _ => None,
+                })
+                .min()
+        }
+    }
+}
+
+/// Drives [`Vrf`] and the reference model with one random operation
+/// stream — the vOp generator's and write-back manager's calls, plus
+/// mid-stream flushes — and requires identical answers after every
+/// operation, at register counts inside one bitset word, filling it, and
+/// spanning two.
+#[test]
+fn vrf_matches_the_reference_model() {
+    const CLASSES: [DataClass; 3] = [DataClass::RMatrix, DataClass::CMatrix, DataClass::SparseOut];
+    let mut rng = Rng64::seed_from_u64(0x5eed_face);
+    for num_regs in [8usize, 64, 100] {
+        for case in 0..64 {
+            let mut vrf = Vrf::new(num_regs);
+            let mut model = reference::RefVrf::new(num_regs);
+            // References taken, per register, so releases stay balanced.
+            let mut held: Vec<VrId> = Vec::new();
+            let mut now = 0u64;
+            let lines = 3 * num_regs as u64;
+            let num_ops = rng.gen_range(1usize..1500);
+            for step in 0..num_ops {
+                let label = format!("{num_regs} regs, case {case}, step {step}");
+                match rng.bounded(16) {
+                    0..=5 => {
+                        let line = rng.gen_range(0..lines);
+                        let class = CLASSES[rng.bounded(3) as usize];
+                        let got = vrf.lookup_or_alloc(line, class);
+                        assert_eq!(got, model.lookup_or_alloc(line, class), "{label}");
+                        match got {
+                            AllocOutcome::Allocated(id) if rng.bounded(4) == 0 => {
+                                vrf.set_ready(id);
+                                model.set_ready(id);
+                            }
+                            AllocOutcome::Allocated(id) => {
+                                let t = now + rng.gen_range(1..300u64);
+                                vrf.set_loading(id, t);
+                                model.set_loading(id, t);
+                            }
+                            AllocOutcome::Reused(_) | AllocOutcome::Stall => {}
+                        }
+                        if let AllocOutcome::Allocated(id) | AllocOutcome::Reused(id) = got {
+                            if rng.bounded(2) == 0 {
+                                vrf.add_ref(id);
+                                model.add_ref(id);
+                                held.push(id);
+                            }
+                        }
+                    }
+                    6 | 7 => {
+                        now += rng.gen_range(0..80u64);
+                        vrf.complete_loads(now);
+                        model.complete_loads(now);
+                    }
+                    8 | 9 => {
+                        let id = rng.gen_range(0..num_regs);
+                        if vrf.ready_at(id) == 0 {
+                            let done = now + rng.gen_range(0..40u64);
+                            vrf.record_write(id, done);
+                            model.record_write(id, done);
+                        }
+                    }
+                    10 | 11 => {
+                        if !held.is_empty() {
+                            let id = held.swap_remove(rng.gen_range(0..held.len()));
+                            vrf.release_ref(id);
+                            model.release_ref(id);
+                        }
+                    }
+                    12..=14 => {
+                        now += rng.gen_range(0..20u64);
+                        if let Some(id) = vrf.writeback_candidate(now) {
+                            assert_eq!(vrf.clean(id), model.clean(id), "{label}");
+                        }
+                    }
+                    _ => {
+                        // A WB&Invalidate: the pipeline has drained first.
+                        if rng.bounded(8) == 0 {
+                            for id in held.drain(..) {
+                                vrf.release_ref(id);
+                                model.release_ref(id);
+                            }
+                            now += 300;
+                            vrf.complete_loads(now);
+                            model.complete_loads(now);
+                            assert_eq!(vrf.drain_dirty(), model.drain_dirty(), "{label}");
+                        }
+                    }
+                }
+                assert_eq!(vrf.dirty_count(), model.dirty_count(), "{label}");
+                assert_eq!(
+                    vrf.writeback_candidate(now),
+                    model.writeback_candidate(now),
+                    "{label}"
+                );
+                assert_eq!(vrf.is_quiescent(), model.is_quiescent(), "{label}");
+                assert_eq!(
+                    vrf.next_load_completion(),
+                    model.next_load_completion(),
+                    "{label}"
+                );
+                for id in 0..num_regs {
+                    assert_eq!(vrf.ready_at(id), model.ready_at(id), "{label}, VR {id}");
+                    assert_eq!(
+                        vrf.last_write_done(id),
+                        model.last_write_done(id),
+                        "{label}, VR {id}"
+                    );
+                }
+            }
+            for id in held.drain(..) {
+                vrf.release_ref(id);
+                model.release_ref(id);
+            }
+            assert_eq!(
+                vrf.drain_dirty(),
+                model.drain_dirty(),
+                "{num_regs} regs, case {case}"
+            );
+        }
     }
 }
