@@ -175,14 +175,9 @@ pub struct Job {
     /// Drive the simulation with the naive cycle-by-cycle loop instead of
     /// the event-driven scheduler (off by default). Both produce
     /// bit-identical results; the naive loop exists as the oracle for the
-    /// scheduler-equivalence tests and the `bench-perf` comparison.
+    /// scheduler-equivalence tests and the `bench-perf` comparison. No CLI
+    /// flag, wire field or environment variable sets it.
     pub naive_loop: bool,
-    /// Force the memory hierarchy onto its slow path — no line/page
-    /// filters, no monomorphized no-fault arms (off by default). Both
-    /// paths produce bit-identical results; the slow path exists as the
-    /// oracle for the memory-fastpath-equivalence tests and the memory
-    /// microbenchmark.
-    pub slow_mem_path: bool,
     /// Hard ceiling on simulated cycles, riding the watchdog's
     /// [`spade_core::WatchdogConfig::max_cycles`]: a job that exceeds it
     /// fails with a structured deadlock/deadline error instead of running
@@ -222,7 +217,6 @@ impl Job {
             telemetry_window: None,
             trace: false,
             naive_loop: false,
-            slow_mem_path: false,
             deadline_cycles: None,
         }
     }
@@ -239,16 +233,10 @@ impl Job {
         self
     }
 
-    /// Selects the naive cycle-by-cycle loop for this job (builder style).
+    /// Selects the naive cycle-by-cycle loop for this job (builder style):
+    /// the one switch for the oracle driver, see [`Job::naive_loop`].
     pub fn with_naive_loop(mut self, naive: bool) -> Self {
         self.naive_loop = naive;
-        self
-    }
-
-    /// Forces the memory hierarchy's slow path for this job (builder
-    /// style).
-    pub fn with_slow_mem_path(mut self, slow: bool) -> Self {
-        self.slow_mem_path = slow;
         self
     }
 
@@ -275,7 +263,6 @@ impl Job {
         Option<Cycle>,
         bool,
         bool,
-        bool,
         Option<Cycle>,
     ) {
         (
@@ -286,7 +273,6 @@ impl Job {
             self.telemetry_window,
             self.trace,
             self.naive_loop,
-            self.slow_mem_path,
             self.deadline_cycles,
         )
     }
@@ -300,10 +286,10 @@ impl Job {
     /// at, so the same simulation maps to the same key across processes,
     /// restarts and hosts.
     ///
-    /// Observability options (telemetry, trace) and host-execution knobs
-    /// (naive loop, slow memory path) are deliberately excluded: neither
-    /// changes a report's simulated bytes (pinned by the scheduler and
-    /// memory equivalence suites), and the cache stores reports only.
+    /// Observability options (telemetry, trace) and the naive-loop oracle
+    /// switch are deliberately excluded: neither changes a report's
+    /// simulated bytes (pinned by the scheduler equivalence suite), and
+    /// the cache stores reports only.
     pub fn cache_key(&self) -> String {
         MatrixDigest::of(&self.workload.a).run_key(
             self.workload.k,
@@ -352,11 +338,6 @@ impl Job {
         sys.set_telemetry(self.telemetry_window)
             .set_trace(self.trace)
             .set_fast_forward(!self.naive_loop);
-        if self.slow_mem_path {
-            // Only force the slow path; leaving the default in place keeps
-            // the SPADE_MEM_SLOW_PATH environment veto effective.
-            sys.set_mem_fast_path(false);
-        }
         if let Some(deadline) = self.deadline_cycles {
             sys.set_watchdog(spade_core::WatchdogConfig {
                 max_cycles: Some(deadline),

@@ -7,14 +7,6 @@
 //! so the only difference worth recording is how fast the host produced
 //! them.
 //!
-//! The harness also carries the **memory microbenchmark**: synthetic
-//! access streams driven straight into a bench-scale [`MemorySystem`],
-//! once with the filtered fast path and once with it forced off, recording
-//! hierarchy accesses per host second and the filter hit rates. The two
-//! runs are asserted identical (per-access completion-cycle checksum plus
-//! full `MemStats` equality) on every invocation, so the numbers can never
-//! drift away from the equivalence guarantee they advertise.
-//!
 //! The JSON document this module emits is committed as `BENCH_sim.json`,
 //! the repository's simulator-performance trajectory: re-run it after
 //! scheduler or hot-path changes and compare.
@@ -24,8 +16,6 @@ use std::time::Instant;
 
 use spade_core::{JsonValue, Primitive, SystemConfig};
 use spade_matrix::generators::Scale;
-use spade_matrix::rng::Rng64;
-use spade_sim::{AccessPath, Cycle, DataClass, Line, MemorySystem, LINE_BYTES};
 
 use crate::machines;
 use crate::parallel::{Job, ParallelRunner};
@@ -60,198 +50,6 @@ impl PerfRow {
     }
 }
 
-/// One memory-microbenchmark measurement: the same synthetic access
-/// stream driven through a bench-scale hierarchy with the filtered fast
-/// path enabled and then forced off. The two runs are checked identical
-/// before the row is produced.
-#[derive(Debug, Clone)]
-pub struct MemBenchRow {
-    /// Stream shape (one of [`MEM_PATTERNS`]).
-    pub pattern: &'static str,
-    /// Accesses issued per run.
-    pub accesses: u64,
-    /// Hierarchy accesses per host second with the fast path on.
-    pub fast_aps: f64,
-    /// Hierarchy accesses per host second with the fast path forced off.
-    pub slow_aps: f64,
-    /// Fraction of accesses answered by the per-requester line filter.
-    pub line_filter_rate: f64,
-    /// Fraction of accesses that reused the latched STLB translation.
-    pub page_reuse_rate: f64,
-}
-
-impl MemBenchRow {
-    /// Fast-path over slow-path host throughput; zero if the slow rate is
-    /// unmeasurable.
-    pub fn speedup(&self) -> f64 {
-        if self.slow_aps > 0.0 {
-            self.fast_aps / self.slow_aps
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The synthetic access-stream shapes the memory microbenchmark drives:
-/// `stream` (per-agent sequential bursts — translation-reuse friendly),
-/// `repeat` (short same-line bursts — line-filter friendly), `stride`
-/// (page-crossing jumps — every filter misses, measuring pure overhead)
-/// and `mixed` (seeded random agents/lines/paths/writes).
-pub const MEM_PATTERNS: [&str; 4] = ["stream", "repeat", "stride", "mixed"];
-
-/// One synthetic access: (agent, line, path, class, is_write).
-type MemOp = (usize, Line, AccessPath, DataClass, bool);
-
-/// Builds the deterministic op stream for `pattern` (see [`MEM_PATTERNS`]).
-fn mem_ops_for(pattern: &str, agents: usize, page_lines: u64, ops: u64) -> Vec<MemOp> {
-    let mut out = Vec::with_capacity(ops as usize);
-    // Keep agents' working sets far apart so streams never alias.
-    let region = |agent: usize| agent as u64 * (1 << 32);
-    match pattern {
-        // 64-line sequential bursts per agent: consecutive lines share a
-        // page, so the translation latch answers nearly every access.
-        "stream" => {
-            for i in 0..ops {
-                let agent = ((i / 64) % agents as u64) as usize;
-                let seq = i / (64 * agents as u64) * 64 + i % 64;
-                out.push((
-                    agent,
-                    region(agent) + seq,
-                    AccessPath::Cached,
-                    DataClass::CMatrix,
-                    false,
-                ));
-            }
-        }
-        // 16 back-to-back touches of the same line per agent before
-        // advancing: the line filter answers the 15 repeats.
-        "repeat" => {
-            for i in 0..ops {
-                let agent = ((i / 16) % agents as u64) as usize;
-                let seq = i / (16 * agents as u64);
-                let write = i % 16 == 7;
-                out.push((
-                    agent,
-                    region(agent) + seq,
-                    AccessPath::Cached,
-                    DataClass::RMatrix,
-                    write,
-                ));
-            }
-        }
-        // Every access jumps a full page on one agent: both filters miss
-        // every time, so this measures the fast path's added overhead.
-        "stride" => {
-            for i in 0..ops {
-                out.push((
-                    0,
-                    i * page_lines,
-                    AccessPath::Cached,
-                    DataClass::SparseIn,
-                    false,
-                ));
-            }
-        }
-        // Seeded random agents, lines, paths and writes.
-        "mixed" => {
-            let mut rng = Rng64::seed_from_u64(0x5bad_cafe);
-            for _ in 0..ops {
-                let agent = rng.bounded(agents as u64) as usize;
-                let line = region(agent) + rng.bounded(4 * page_lines);
-                let path = match rng.bounded(5) {
-                    0 => AccessPath::Bypass,
-                    1 => AccessPath::BypassVictim,
-                    _ => AccessPath::Cached,
-                };
-                let class = match rng.bounded(4) {
-                    0 => DataClass::SparseIn,
-                    1 => DataClass::SparseOut,
-                    2 => DataClass::RMatrix,
-                    _ => DataClass::CMatrix,
-                };
-                out.push((agent, line, path, class, rng.gen_bool(0.25)));
-            }
-        }
-        other => panic!("unknown memory pattern {other:?}"),
-    }
-    out
-}
-
-/// Issues `ops` into `mem` one cycle apart and returns an FNV-1a checksum
-/// over every completion cycle — any behavioral divergence between two
-/// runs of the same stream changes the checksum.
-fn drive_mem(mem: &mut MemorySystem, ops: &[MemOp]) -> u64 {
-    let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
-    for (now, &(agent, line, path, class, is_write)) in (0 as Cycle..).zip(ops) {
-        let done = if is_write {
-            mem.write(agent, line, path, class, now)
-        } else {
-            mem.read(agent, line, path, class, now)
-        };
-        checksum = (checksum ^ done).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    checksum
-}
-
-/// Runs the memory microbenchmark at the bench SPADE machine's hierarchy
-/// geometry: each pattern in [`MEM_PATTERNS`] is driven twice — fast path
-/// on, then forced off — over `ops_per_pattern` accesses, and the runs
-/// must agree on every completion cycle and the full statistics block.
-///
-/// Returns no rows when `ops_per_pattern` is zero (microbench disabled).
-///
-/// # Errors
-///
-/// Returns a message if the fast and slow runs diverge on the
-/// completion-cycle checksum or on `MemStats` — the bit-identity
-/// guarantee the fast path is built on.
-pub fn mem_microbench(pes: usize, ops_per_pattern: u64) -> Result<Vec<MemBenchRow>, String> {
-    if ops_per_pattern == 0 {
-        return Ok(Vec::new());
-    }
-    let cfg = machines::spade_system(pes);
-    let page_lines = (cfg.mem.stlb.page_bytes / LINE_BYTES).max(1);
-    let mut rows = Vec::new();
-    for pattern in MEM_PATTERNS {
-        let stream = mem_ops_for(pattern, cfg.mem.num_agents, page_lines, ops_per_pattern);
-
-        let mut fast = MemorySystem::new(cfg.mem.clone());
-        fast.set_fast_path(true);
-        let start = Instant::now();
-        let fast_sum = drive_mem(&mut fast, &stream);
-        let fast_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-        let mut slow = MemorySystem::new(cfg.mem.clone());
-        slow.set_fast_path(false);
-        let start = Instant::now();
-        let slow_sum = drive_mem(&mut slow, &stream);
-        let slow_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-        if fast_sum != slow_sum {
-            return Err(format!(
-                "memory fast path diverged on {pattern}: completion checksum \
-                 {fast_sum:#x} (fast) vs {slow_sum:#x} (slow)"
-            ));
-        }
-        if fast.stats() != slow.stats() {
-            return Err(format!(
-                "memory fast path diverged on {pattern}: MemStats differ \
-                 between fast and slow runs"
-            ));
-        }
-        let n = stream.len() as u64;
-        rows.push(MemBenchRow {
-            pattern,
-            accesses: n,
-            fast_aps: n as f64 / fast_secs,
-            slow_aps: n as f64 / slow_secs,
-            line_filter_rate: fast.filter_line_hits() as f64 / n as f64,
-            page_reuse_rate: fast.filter_page_hits() as f64 / n as f64,
-        });
-    }
-    Ok(rows)
-}
-
 /// A complete `bench-perf` result: the per-row measurements plus the
 /// context needed to reproduce them.
 #[derive(Debug, Clone)]
@@ -266,10 +64,6 @@ pub struct PerfSummary {
     pub threads: usize,
     /// One row per (workload, primitive).
     pub rows: Vec<PerfRow>,
-    /// Accesses per pattern in the memory microbenchmark (zero disables it).
-    pub mem_ops: u64,
-    /// One row per memory-microbenchmark pattern.
-    pub mem_rows: Vec<MemBenchRow>,
 }
 
 impl PerfSummary {
@@ -288,29 +82,6 @@ impl PerfSummary {
     /// Geometric-mean naive-loop throughput.
     pub fn geomean_naive_cps(&self) -> f64 {
         geomean(&self.rows.iter().map(|r| r.naive_cps).collect::<Vec<_>>())
-    }
-
-    /// Geometric-mean fast-path over slow-path speedup across the memory
-    /// microbenchmark patterns (zero when the microbench was disabled).
-    pub fn geomean_mem_speedup(&self) -> f64 {
-        geomean(
-            &self
-                .mem_rows
-                .iter()
-                .map(MemBenchRow::speedup)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Geometric-mean fast-path hierarchy throughput (accesses per host
-    /// second) across the microbenchmark patterns.
-    pub fn geomean_mem_fast_aps(&self) -> f64 {
-        geomean(&self.mem_rows.iter().map(|r| r.fast_aps).collect::<Vec<_>>())
-    }
-
-    /// Geometric-mean slow-path hierarchy throughput.
-    pub fn geomean_mem_slow_aps(&self) -> f64 {
-        geomean(&self.mem_rows.iter().map(|r| r.slow_aps).collect::<Vec<_>>())
     }
 
     /// The summary as the `BENCH_sim.json` document.
@@ -345,39 +116,6 @@ impl PerfSummary {
                 self.geomean_naive_cps().into(),
             ),
             ("workloads", JsonValue::Array(rows)),
-            ("mem_microbench", self.mem_json()),
-        ])
-    }
-
-    /// The `"mem_microbench"` section of the JSON document.
-    fn mem_json(&self) -> JsonValue {
-        let patterns: Vec<JsonValue> = self
-            .mem_rows
-            .iter()
-            .map(|r| {
-                JsonValue::object([
-                    ("pattern", JsonValue::from(r.pattern)),
-                    ("accesses", r.accesses.into()),
-                    ("fast_accesses_per_host_sec", r.fast_aps.into()),
-                    ("slow_accesses_per_host_sec", r.slow_aps.into()),
-                    ("speedup", r.speedup().into()),
-                    ("line_filter_rate", r.line_filter_rate.into()),
-                    ("page_reuse_rate", r.page_reuse_rate.into()),
-                ])
-            })
-            .collect();
-        JsonValue::object([
-            ("ops_per_pattern", self.mem_ops.into()),
-            ("geomean_speedup", self.geomean_mem_speedup().into()),
-            (
-                "geomean_fast_accesses_per_host_sec",
-                self.geomean_mem_fast_aps().into(),
-            ),
-            (
-                "geomean_slow_accesses_per_host_sec",
-                self.geomean_mem_slow_aps().into(),
-            ),
-            ("patterns", JsonValue::Array(patterns)),
         ])
     }
 }
@@ -426,19 +164,16 @@ pub fn measure(
     Ok(rows)
 }
 
-/// Runs the full Figure 9 suite (both kernels) at `scale`, plus the
-/// memory microbenchmark at `mem_ops` accesses per pattern, and returns
-/// the summary ready to serialize as `BENCH_sim.json`. Passing
-/// `mem_ops == 0` skips the microbench.
+/// Runs the full Figure 9 suite (both kernels) at `scale` and returns the
+/// summary ready to serialize as `BENCH_sim.json`.
 ///
 /// # Errors
 ///
-/// See [`measure`] and [`mem_microbench`].
+/// See [`measure`].
 pub fn run_suite_perf(
     scale: Scale,
     k: usize,
     pes: usize,
-    mem_ops: u64,
     runner: &ParallelRunner,
 ) -> Result<PerfSummary, String> {
     let workloads: Vec<Arc<Workload>> = Workload::suite(scale, k)
@@ -452,15 +187,12 @@ pub fn run_suite_perf(
         &[Primitive::Spmm, Primitive::Sddmm],
         runner,
     )?;
-    let mem_rows = mem_microbench(pes, mem_ops)?;
     Ok(PerfSummary {
         scale,
         k,
         pes,
         threads: runner.threads(),
         rows,
-        mem_ops,
-        mem_rows,
     })
 }
 
@@ -758,26 +490,13 @@ mod tests {
                 event_cps: 4.0e6,
                 naive_cps: 2.0e6,
             }],
-            mem_ops: 100,
-            mem_rows: vec![MemBenchRow {
-                pattern: "repeat",
-                accesses: 100,
-                fast_aps: 3.0e6,
-                slow_aps: 1.0e6,
-                line_filter_rate: 0.9,
-                page_reuse_rate: 0.95,
-            }],
         };
         assert!((summary.geomean_speedup() - 2.0).abs() < 1e-12);
-        assert!((summary.geomean_mem_speedup() - 3.0).abs() < 1e-12);
         let text = summary.to_json().render();
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"event_sim_cycles_per_host_sec\""));
         assert!(text.contains("\"scale\":\"tiny\""));
-        assert!(text.contains("\"mem_microbench\""));
-        assert!(text.contains("\"line_filter_rate\""));
-        assert!(text.contains("\"pattern\":\"repeat\""));
     }
 
     #[test]
@@ -822,39 +541,5 @@ mod tests {
             naive_cps: 0.0,
         };
         assert_eq!(row.speedup(), 0.0);
-    }
-
-    #[test]
-    fn mem_microbench_patterns_engage_their_filters() {
-        let rows = mem_microbench(4, 2_000).unwrap();
-        assert_eq!(rows.len(), MEM_PATTERNS.len());
-        for row in &rows {
-            assert_eq!(row.accesses, 2_000);
-            assert!(row.fast_aps > 0.0 && row.slow_aps > 0.0);
-            assert!((0.0..=1.0).contains(&row.line_filter_rate));
-            assert!((0.0..=1.0).contains(&row.page_reuse_rate));
-        }
-        let by_name = |n: &str| rows.iter().find(|r| r.pattern == n).unwrap();
-        // Sequential bursts reuse the latched translation almost always.
-        assert!(by_name("stream").page_reuse_rate > 0.5);
-        // Same-line bursts hit the line filter on 15 of every 16 accesses.
-        assert!(by_name("repeat").line_filter_rate > 0.5);
-        // Page-per-access strides defeat both filters entirely.
-        assert_eq!(by_name("stride").line_filter_rate, 0.0);
-        assert_eq!(by_name("stride").page_reuse_rate, 0.0);
-    }
-
-    #[test]
-    fn mem_microbench_zero_ops_disables_it() {
-        assert!(mem_microbench(4, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn mem_streams_are_deterministic() {
-        for pattern in MEM_PATTERNS {
-            let a = mem_ops_for(pattern, 4, 64, 500);
-            let b = mem_ops_for(pattern, 4, 64, 500);
-            assert_eq!(a, b, "{pattern} stream not reproducible");
-        }
     }
 }

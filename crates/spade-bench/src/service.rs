@@ -2151,7 +2151,8 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
     }
 }
 
-/// An execution plan as a JSON object (same shape as the CLI's).
+/// An execution plan as a JSON object, as both the CLI and the daemon
+/// render it.
 pub fn plan_json(p: &ExecutionPlan) -> JsonValue {
     JsonValue::object([
         ("row_panel_size", p.tiling.row_panel_size.into()),

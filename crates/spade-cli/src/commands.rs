@@ -62,8 +62,7 @@ pub const USAGE: &str = "usage:
   spade-cli client best-plans --addr <host:port> [query filters as above]
                    [--format json|text]
   spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
-                   [--mem-ops 200000] [--gate-speedup X] [--gate-mem-speedup X]
-                   [--out BENCH_sim.json]
+                   [--gate-speedup X] [--out BENCH_sim.json]
   spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
                    [--pes 56] [--scale ...] [--format json|text]
   spade-cli dataset export --cache-dir DIR [--out FILE]
@@ -242,17 +241,6 @@ struct RunSummary<'a> {
     telemetry: Option<&'a TelemetrySeries>,
 }
 
-/// An execution plan as a JSON object.
-fn plan_json(p: &ExecutionPlan) -> JsonValue {
-    JsonValue::object([
-        ("row_panel_size", p.tiling.row_panel_size.into()),
-        ("col_panel_size", p.tiling.col_panel_size.into()),
-        ("r_policy", format!("{:?}", p.r_policy).into()),
-        ("c_policy", format!("{:?}", p.c_policy).into()),
-        ("barriers", p.barriers.is_enabled().into()),
-    ])
-}
-
 impl RunSummary<'_> {
     /// The run as one JSON document (hand-rolled writer — the workspace is
     /// dependency-free): context, plan, the full report, and the telemetry
@@ -263,7 +251,7 @@ impl RunSummary<'_> {
             ("kernel", self.kernel.as_str().into()),
             ("k", self.k.into()),
             ("pes", self.pes.into()),
-            ("plan", plan_json(self.plan)),
+            ("plan", service::plan_json(self.plan)),
             ("report", self.report.to_json()),
             (
                 "sim_cycles_per_host_sec",
@@ -572,7 +560,7 @@ fn advise_cmd(argv: &[String]) -> Result<(), String> {
             ("pes", system_config.num_pes.into()),
             ("source", source.into()),
             ("latency_us", latency_us.into()),
-            ("plan", plan_json(&plan)),
+            ("plan", service::plan_json(&plan)),
             (
                 "features",
                 JsonValue::object(features.to_pairs().into_iter().map(|(n, v)| (n, v.into()))),
@@ -689,7 +677,7 @@ fn search(argv: &[String]) -> Result<(), String> {
             .iter()
             .map(|(plan, o)| {
                 let mut fields = vec![
-                    ("plan", plan_json(plan)),
+                    ("plan", service::plan_json(plan)),
                     ("cycles", o.report.cycles.into()),
                     ("dram_accesses", o.report.dram_accesses.into()),
                     ("requests_per_cycle", o.report.requests_per_cycle.into()),
@@ -1643,42 +1631,25 @@ fn client_trace(argv: &[String]) -> Result<(), String> {
 }
 
 /// `bench-perf`: measures simulator host throughput under the event-driven
-/// scheduler and the naive tick-loop oracle across the Figure 9 suite, plus
-/// the memory-hierarchy microbenchmark (fast path on vs forced off), then
+/// scheduler and the naive tick-loop oracle across the Figure 9 suite, then
 /// writes the machine-readable summary (default `BENCH_sim.json`). The run
 /// doubles as an equivalence check: it fails if the two drivers disagree on
-/// any simulated metric, or if the memory fast path diverges from the slow
-/// path on any completion cycle or statistic. `--gate-speedup` and
-/// `--gate-mem-speedup` turn the run into a regression gate: the command
-/// fails (after writing the summary) when the respective figure falls
-/// below the given floor.
+/// any simulated metric. `--gate-speedup` turns the run into a regression
+/// gate: the command fails (after writing the summary) when the geomean
+/// event-driver speedup falls below the given floor.
 fn bench_perf(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[
-            "scale",
-            "k",
-            "pes",
-            "mem-ops",
-            "out",
-            "gate-speedup",
-            "gate-mem-speedup",
-        ],
-        &[],
-    )?;
+    let args = Args::parse(argv, &["scale", "k", "pes", "out", "gate-speedup"], &[])?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
     let pes: usize = args.get_parsed("pes", 56)?;
     if pes == 0 || !pes.is_multiple_of(4) {
         return Err("--pes must be a positive multiple of 4".into());
     }
-    let mem_ops: u64 = args.get_parsed("mem-ops", 200_000)?;
     let gate_speedup: f64 = args.get_parsed("gate-speedup", 0.0)?;
-    let gate_mem_speedup: f64 = args.get_parsed("gate-mem-speedup", 0.0)?;
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
     let runner = ParallelRunner::from_env();
     let host_start = Instant::now();
-    let summary = spade_bench::perf::run_suite_perf(scale, k, pes, mem_ops, &runner)?;
+    let summary = spade_bench::perf::run_suite_perf(scale, k, pes, &runner)?;
     println!(
         "{:<6} {:<6} {:>12} {:>14} {:>14} {:>8}",
         "name", "kernel", "cycles", "event cyc/s", "naive cyc/s", "speedup"
@@ -1702,30 +1673,6 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
         summary.threads,
         host_start.elapsed().as_secs_f64()
     );
-    if !summary.mem_rows.is_empty() {
-        println!(
-            "{:<8} {:>10} {:>14} {:>14} {:>8} {:>10} {:>10}",
-            "pattern", "accesses", "fast acc/s", "slow acc/s", "speedup", "line-hit", "page-hit"
-        );
-        for r in &summary.mem_rows {
-            println!(
-                "{:<8} {:>10} {:>14.3e} {:>14.3e} {:>7.2}x {:>9.1}% {:>9.1}%",
-                r.pattern,
-                r.accesses,
-                r.fast_aps,
-                r.slow_aps,
-                r.speedup(),
-                100.0 * r.line_filter_rate,
-                100.0 * r.page_reuse_rate
-            );
-        }
-        println!(
-            "mem geomean: fast {:.3e} acc/s, slow {:.3e} acc/s, speedup {:.2}x",
-            summary.geomean_mem_fast_aps(),
-            summary.geomean_mem_slow_aps(),
-            summary.geomean_mem_speedup()
-        );
-    }
     std::fs::write(&out, summary.to_json().render()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");
     if gate_speedup > 0.0 && summary.geomean_speedup() < gate_speedup {
@@ -1734,20 +1681,6 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
              required {gate_speedup:.2}x",
             summary.geomean_speedup()
         ));
-    }
-    if gate_mem_speedup > 0.0 {
-        if summary.mem_rows.is_empty() {
-            return Err("gate failed: --gate-mem-speedup set but the memory \
-                 microbench was disabled (--mem-ops 0)"
-                .into());
-        }
-        if summary.geomean_mem_speedup() < gate_mem_speedup {
-            return Err(format!(
-                "gate failed: geomean memory fast-path speedup {:.3}x is below \
-                 the required {gate_mem_speedup:.2}x",
-                summary.geomean_mem_speedup()
-            ));
-        }
     }
     Ok(())
 }
@@ -2152,6 +2085,10 @@ mod tests {
         assert!(err.contains("'--shards'"), "{err}");
         let err = dispatch(&argv(&["bench-perf", "--gate-shard-speedup", "1.5"])).unwrap_err();
         assert!(err.contains("'--gate-shard-speedup'"), "{err}");
+        let err = dispatch(&argv(&["bench-perf", "--gate-mem-speedup", "1.05"])).unwrap_err();
+        assert!(err.contains("'--gate-mem-speedup'"), "{err}");
+        let err = dispatch(&argv(&["bench-perf", "--mem-ops", "0"])).unwrap_err();
+        assert!(err.contains("'--mem-ops'"), "{err}");
     }
 
     #[test]

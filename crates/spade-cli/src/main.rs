@@ -12,7 +12,7 @@
 //!                 [--format json|text] [--telemetry 256]
 //! spade-cli mm    --file matrix.mtx [--k 32] [--pes 56] [--format json|text]
 //! spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
-//!                 [--out BENCH_sim.json]
+//!                 [--gate-speedup X] [--out BENCH_sim.json]
 //! ```
 
 mod args;

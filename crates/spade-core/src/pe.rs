@@ -475,8 +475,9 @@ impl Pe {
 
     /// Enables (default) or disables the event-driven dispatch-scan gate;
     /// see the `event_gates` field. Disabling it changes host cost only,
-    /// never simulated behavior.
-    pub fn set_event_gates(&mut self, enabled: bool) {
+    /// never simulated behavior. The system disables it exactly when it
+    /// runs the naive oracle loop ([`crate::SpadeSystem::set_fast_forward`]).
+    pub(crate) fn set_event_gates(&mut self, enabled: bool) {
         self.event_gates = enabled;
     }
 

@@ -6,8 +6,8 @@ use std::collections::BinaryHeap;
 
 use spade_matrix::{reference, Coo, DenseMatrix, TiledCoo, FLOATS_PER_LINE};
 use spade_sim::{
-    fast_path_default, Cycle, LevelKind, MemorySystem, TelemetryCounters, TelemetryGauges,
-    TelemetryRecorder, TelemetrySeries, TraceEvent, TraceLog,
+    Cycle, LevelKind, MemorySystem, TelemetryCounters, TelemetryGauges, TelemetryRecorder,
+    TelemetrySeries, TraceEvent, TraceLog,
 };
 
 use crate::bitset::BitSet;
@@ -75,11 +75,6 @@ pub struct SpadeSystem {
     mem: Option<MemorySystem>,
     keep_warm: bool,
     fast_forward: bool,
-    /// Whether the memory hierarchy may use its filtered fast path
-    /// (line/page filters + packed-set lookups); disabling forces the
-    /// always-translate, always-lookup slow path. Bit-identical either
-    /// way — pinned by the `memory_fastpath_equivalence` suite.
-    mem_fast_path: bool,
     watchdog: WatchdogConfig,
     /// Telemetry window in cycles; `None` disables sampling.
     telemetry_window: Option<Cycle>,
@@ -99,9 +94,6 @@ impl SpadeSystem {
             mem: None,
             keep_warm: false,
             fast_forward: true,
-            // Honors the SPADE_MEM_SLOW_PATH environment veto; the
-            // explicit setter overrides it per system.
-            mem_fast_path: fast_path_default(),
             watchdog: WatchdogConfig::default(),
             telemetry_window: None,
             trace_on: false,
@@ -135,30 +127,14 @@ impl SpadeSystem {
     /// time proportional to simulated cycles × PEs (each poll also running
     /// the reservation-station scan — the per-PE event gates are disabled
     /// too) instead of to actual events.
+    ///
+    /// This is the oracle's only switch in `spade-core`. No CLI flag, wire
+    /// field or environment variable reaches it: the callers are the
+    /// equivalence tests and `bench-perf`'s driver comparison, through
+    /// `Job::with_naive_loop` in `spade-bench`.
     pub fn set_fast_forward(&mut self, enabled: bool) -> &mut Self {
         self.fast_forward = enabled;
         self
-    }
-
-    /// Selects the memory-hierarchy driver (fast path by default).
-    ///
-    /// The fast path short-circuits back-to-back same-line accesses per
-    /// requester and reuses the previous STLB translation for same-page
-    /// streams; disabling it forces every request through the full
-    /// translate-and-lookup slow path. Both produce bit-identical
-    /// outputs, reports, telemetry and traces (see the
-    /// `memory_fastpath_equivalence` suite); the slow path just spends
-    /// more host time. The `SPADE_MEM_SLOW_PATH` environment variable
-    /// applies the same veto globally at hierarchy construction; this
-    /// per-system knob exists for the equivalence suites and benches.
-    pub fn set_mem_fast_path(&mut self, enabled: bool) -> &mut Self {
-        self.mem_fast_path = enabled;
-        self
-    }
-
-    /// Whether the memory fast path is requested for subsequent runs.
-    pub fn mem_fast_path(&self) -> bool {
-        self.mem_fast_path
     }
 
     /// Configures the deadlock watchdog: the idle budget before a run is
@@ -413,7 +389,6 @@ impl SpadeSystem {
             _ => MemorySystem::new(self.config.mem.clone()),
         };
         mem.set_trace(self.trace_on);
-        mem.set_fast_path(self.mem_fast_path);
         let params = RuntimeParams {
             primitive,
             r_policy: plan.r_policy,

@@ -82,19 +82,6 @@ impl AccessOutcome {
 
 const INVALID: Line = Line::MAX;
 
-/// Opaque name for the slot a line occupies, returned by
-/// [`Cache::access_at`]. Valid until the line is next evicted,
-/// invalidated or flushed; the hierarchy's line filter uses it for O(1)
-/// dirty-marking of a line it has proven resident and most-recent.
-///
-/// Encoding: `set << 6 | way` (6 bits suffice — ways are capped at 64).
-pub type SlotHandle = u32;
-
-#[inline]
-fn slot_handle(set: usize, way: usize) -> SlotHandle {
-    ((set as u32) << 6) | way as u32
-}
-
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement. Tag-only: it tracks presence, dirtiness and recency, not
 /// data (functional values are computed by the caller).
@@ -115,10 +102,9 @@ fn slot_handle(set: usize, way: usize) -> SlotHandle {
 ///
 /// Ranks replace the previous global-counter timestamps. The two encode
 /// the same total order (ranks are the descending-stamp order of the
-/// valid ways), so every hit/miss/eviction decision is unchanged — and,
-/// unlike stamps, re-touching the MRU way mutates *nothing*, which is
-/// what lets the hierarchy's line filter skip repeat accesses while
-/// staying bit-identical (see `DESIGN.md`).
+/// valid ways), so every hit/miss/eviction decision is unchanged; the
+/// stamp-LRU reference model in `tests/cache_properties.rs` pins this.
+/// Unlike stamps, re-touching the MRU way mutates nothing at all.
 ///
 /// # Example
 ///
@@ -156,10 +142,6 @@ impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.num_sets();
-        assert!(
-            sets <= 1 << 26,
-            "cache of {sets} sets overflows the slot-handle encoding"
-        );
         let n = sets * config.ways;
         let way_mask = if config.ways == 64 {
             u64::MAX
@@ -191,7 +173,7 @@ impl Cache {
 
     /// Makes way `w` the most recent of its set, shifting the valid ways
     /// that were more recent one step older. A no-op when `w` is already
-    /// the MRU way — the property the hierarchy's line filter relies on.
+    /// the MRU way.
     #[inline]
     fn promote(&mut self, set: usize, base: usize, w: usize) {
         let r = self.rank[base + w];
@@ -223,14 +205,7 @@ impl Cache {
 
     /// Looks up `line`, filling it on a miss (write-allocate). `is_write`
     /// marks the line dirty.
-    #[inline]
     pub fn access(&mut self, line: Line, is_write: bool) -> AccessOutcome {
-        self.access_at(line, is_write).0
-    }
-
-    /// [`Cache::access`], additionally returning the [`SlotHandle`] of the
-    /// slot now holding `line` (it is the MRU way of its set either way).
-    pub fn access_at(&mut self, line: Line, is_write: bool) -> (AccessOutcome, SlotHandle) {
         debug_assert_ne!(line, INVALID, "the sentinel line address is reserved");
         let set = self.set_of(line);
         let ways = self.config.ways;
@@ -247,7 +222,7 @@ impl Cache {
                     self.dirty[set] |= bit;
                     self.dirty_n += 1;
                 }
-                return (AccessOutcome::Hit, slot_handle(set, w));
+                return AccessOutcome::Hit;
             }
         }
 
@@ -292,22 +267,7 @@ impl Cache {
             self.dirty[set] |= bit;
             self.dirty_n += 1;
         }
-        (AccessOutcome::Miss { victim }, slot_handle(set, w))
-    }
-
-    /// Marks the line in `slot` dirty without a lookup. The caller must
-    /// have proven residency (a [`SlotHandle`] from an access with no
-    /// intervening eviction/invalidation/flush of that line); the
-    /// hierarchy's line filter is the one such caller.
-    #[inline]
-    pub fn mark_dirty_slot(&mut self, slot: SlotHandle) {
-        let set = (slot >> 6) as usize;
-        let bit = 1u64 << (slot & 63);
-        debug_assert!(self.valid[set] & bit != 0, "slot handle names an empty way");
-        if self.dirty[set] & bit == 0 {
-            self.dirty[set] |= bit;
-            self.dirty_n += 1;
-        }
+        AccessOutcome::Miss { victim }
     }
 
     /// Checks for presence without touching LRU state or filling.
@@ -626,24 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn slot_handles_allow_direct_dirty_marking() {
-        let mut c = tiny();
-        let (_, slot) = c.access_at(6, false);
-        let (out, again) = c.access_at(6, false);
-        assert!(out.is_hit());
-        assert_eq!(slot, again);
-        assert_eq!(c.dirty_count(), 0);
-        c.mark_dirty_slot(slot);
-        assert_eq!(c.dirty_count(), 1);
-        c.mark_dirty_slot(slot); // idempotent
-        assert_eq!(c.dirty_count(), 1);
-        assert_eq!(c.invalidate(6), Some(true));
-    }
-
-    #[test]
     fn mru_retouch_is_a_pure_no_op() {
-        // The line-filter correctness argument: re-accessing the MRU way
-        // must leave the whole cache state (not just decisions) unchanged.
+        // Rank-based LRU: re-accessing the MRU way must leave the whole
+        // cache state (not just decisions) unchanged.
         let mut c = tiny();
         c.access(0, false);
         c.access(2, true);

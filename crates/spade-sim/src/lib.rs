@@ -56,11 +56,11 @@ mod tlb;
 mod trace;
 
 pub use audit::{audit_enabled, ReadTracker};
-pub use cache::{AccessOutcome, Cache, CacheConfig, SlotHandle, Victim};
+pub use cache::{AccessOutcome, Cache, CacheConfig, Victim};
 pub use config::MemConfig;
 pub use dram::{Dram, DramConfig};
 pub use fault::FaultConfig;
-pub use hierarchy::{fast_path_default, AccessPath, MemorySystem};
+pub use hierarchy::{AccessPath, MemorySystem};
 pub use json::{FrameError, FrameReader, JsonValue};
 pub use stats::{DataClass, LevelKind, LevelStats, MemStats};
 pub use telemetry::{

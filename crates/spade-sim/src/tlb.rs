@@ -77,16 +77,6 @@ impl Stlb {
         }
     }
 
-    /// Records a translation served by the hierarchy's translation-reuse
-    /// latch instead of a lookup. The latched page is by construction the
-    /// most recently translated — resident and MRU in its set — so a real
-    /// [`Stlb::translate`] would hit without moving any replacement
-    /// state; only the hit counter needs to advance.
-    #[inline]
-    pub fn note_reuse_hit(&mut self) {
-        self.hits += 1;
-    }
-
     /// Evicts the entry for the page containing `line`, if present.
     /// Returns whether an entry was actually dropped. Used by fault
     /// injection to model shoot-downs; the next translation of that page
