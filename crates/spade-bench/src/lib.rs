@@ -36,6 +36,7 @@ pub mod metrics;
 pub mod model;
 pub mod parallel;
 pub mod perf;
+pub mod request;
 pub mod runner;
 pub mod service;
 pub mod suite;

@@ -281,7 +281,7 @@ impl Job {
     /// cache key: a 32-hex-digit digest over the workload *contents*
     /// (matrix shape and triplets, dense row size), the machine
     /// configuration, the plan, the primitive, the deadline, and a key
-    /// schema version. Where [`Job::dedup_key`] compares `Arc` pointers —
+    /// schema version. Where `Job::dedup_key` compares `Arc` pointers —
     /// identity within one process — this hashes what the pointers point
     /// at, so the same simulation maps to the same key across processes,
     /// restarts and hosts.

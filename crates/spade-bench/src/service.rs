@@ -3,9 +3,11 @@
 //! A std-only TCP service speaking newline-delimited JSON (one request
 //! per line, one response per line — the [`spade_sim::json`] codec on
 //! both sides). Clients submit the same experiments the CLI runs
-//! (`run`, `search`), plus `status`, `ping` and an in-band `shutdown`;
-//! results come back as the exact JSON documents the CLI's
-//! `--format json` prints, minus host-wall-clock fields (see below).
+//! (`run`, `search`, `trace`, `advise`), plus `status`, `ping` and an
+//! in-band `shutdown`. [`crate::request`] parses, executes and renders
+//! those four for both front ends, so a result is the exact bytes the
+//! CLI's `--format json` prints; this module adds framing, admission,
+//! the cache probe, the dataset catalog and metrics.
 //!
 //! # Architecture
 //!
@@ -30,11 +32,12 @@
 //!   own request; a request that exceeds its cycle deadline gets a
 //!   structured `deadline_exceeded` error from the watchdog ceiling.
 //! * **Crash-safe result cache.** Completed results are stored in a
-//!   [`ResultCache`] keyed by [`Job::cache_key`] — content-addressed, so
-//!   the same experiment hits across restarts and processes. Cache hits
-//!   are byte-identical to a fresh simulation because response payloads
-//!   are *canonical*: `host_wall_ns` — a host property, excluded from
-//!   [`RunReport`] equality — is zeroed before rendering.
+//!   [`ResultCache`] keyed by [`crate::parallel::Job::cache_key`] —
+//!   content-addressed, so the same experiment hits across restarts and
+//!   processes. Cache hits are byte-identical to a fresh simulation
+//!   because response payloads are *canonical*: `host_wall_ns` — a host
+//!   property, excluded from [`spade_core::RunReport`] equality — is
+//!   zeroed before rendering.
 //! * **Cheap hits.** Keys are derived from a per-graph digest table
 //!   (`KeyDigests`), so a request on a graph the daemon has seen probes
 //!   the cache without generating the graph; only a miss prepares its
@@ -101,11 +104,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use spade_core::advisor::advise_tiered;
-use spade_core::{
-    BarrierPolicy, CMatrixPolicy, ExecutionPlan, PlanSearchSpace, Primitive, RMatrixPolicy,
-    RunReport, SystemConfig,
-};
+use spade_core::advisor::PlanRanker;
 use spade_matrix::generators::{Benchmark, Scale};
 use spade_sim::json::MAX_FRAME_BYTES;
 use spade_sim::{Cycle, FrameError, FrameReader, JsonValue};
@@ -113,8 +112,14 @@ use spade_sim::{Cycle, FrameError, FrameReader, JsonValue};
 use crate::cache::{CacheStats, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::model::CostModel;
-use crate::parallel::{self, trace_key, Job, JobOutput, MatrixDigest, ParallelRunner};
-use crate::suite::Workload;
+use crate::parallel::{self, MatrixDigest, ParallelRunner};
+use crate::request::{
+    self, field_bool, field_str, field_u64, Failed, Prepared, RunRequest, Target, Workloads,
+};
+
+// The result renderers live in the request core; the benchmark crate and
+// the robustness suite name them at these paths.
+pub use crate::request::{canonical_report, plan_json, trace_document};
 
 /// Wire-protocol version, reported by `ping` and `status`. Version 2
 /// added the `metrics`, `query` and `trace` requests; version 3 added
@@ -130,13 +135,6 @@ pub const PROTOCOL_VERSION: u32 = 4;
 /// for a cache holding thousands of sweep results; `limit` in the
 /// request overrides it.
 pub const DEFAULT_QUERY_LIMIT: usize = 500;
-
-/// Upper bound on `pes` accepted from the wire — requests are untrusted,
-/// and the config allocates per-PE state before the simulation starts.
-const MAX_REQUEST_PES: usize = 1024;
-
-/// Upper bound on `k` accepted from the wire (dense operand columns).
-const MAX_REQUEST_K: usize = 4096;
 
 /// Upper bound on jobs one `batch` request may carry (explicit list or
 /// expanded sweep template). Bounds the per-connection reply buffer the
@@ -369,38 +367,16 @@ struct WorkItem {
     /// When the item entered the queue — the queue-wait histogram
     /// measures from here to worker pickup.
     enqueued: Instant,
-    reply: SyncSender<Result<String, (String, String)>>,
+    reply: SyncSender<Result<String, Failed>>,
 }
 
 enum WorkKind {
-    Run {
-        job: Box<Job>,
-        benchmark: String,
-        kernel: Primitive,
-        k: usize,
-        pes: usize,
-    },
-    Search {
-        benchmark: String,
-        jobs: Vec<Job>,
-        plans: Vec<ExecutionPlan>,
-        k: usize,
-        pes: usize,
-    },
+    /// A `run`, `trace` or `search` (or one `batch` slot), prepared.
+    Job(Prepared),
     /// Filter the cache catalog. Query rides the same admission queue
     /// as simulations — it holds the catalog lock and renders up to
     /// `limit` entries, so it gets the same back-pressure contract.
     Query { filter: QueryFilter },
-    /// Run (or cache-serve) one traced job and return the Chrome-trace
-    /// document inline in the result.
-    Trace {
-        job: Box<Job>,
-        benchmark: String,
-        kernel: Primitive,
-        k: usize,
-        pes: usize,
-        window: u64,
-    },
 }
 
 /// The daemon: bind, then [`Service::run`] until shutdown.
@@ -673,7 +649,7 @@ fn process_frame(
         Request::Shutdown => "shutdown",
         Request::Work { cmd, .. } => cmd,
         Request::Batch { .. } => "batch",
-        Request::Advise { .. } => "advise",
+        Request::Advise(_) => "advise",
     };
     log_event(inner, rid, "request", &[("cmd", cmd_name.into())]);
     let (response, ok) = match parsed {
@@ -715,16 +691,11 @@ fn process_frame(
         }
         Request::Work {
             cmd,
-            spec,
+            work,
             cache_key,
-        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, spec, cache_key),
+        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, work, cache_key),
         Request::Batch { jobs } => batch_response(inner, work_tx, rid, id.as_ref(), jobs),
-        Request::Advise {
-            benchmark,
-            scale,
-            k,
-            pes,
-        } => advise_response(inner, id.as_ref(), benchmark, scale, k, pes),
+        Request::Advise(target) => advise_response(inner, id.as_ref(), &target),
     };
     inner.metrics.count_request(cmd_name, ok);
     log_event(
@@ -750,7 +721,7 @@ fn work_response(
     rid: u64,
     id: Option<&JsonValue>,
     cmd: &'static str,
-    spec: WorkSpec,
+    work: Work,
     cache_key: Option<String>,
 ) -> (String, bool) {
     // Cache probe happens on the connection thread: a hit never
@@ -768,7 +739,7 @@ fn work_response(
     let item = WorkItem {
         rid,
         cmd,
-        kind: spec.prepare(),
+        kind: work.prepare(),
         store_key: cache_key.clone(),
         enqueued: Instant::now(),
         reply: reply_tx,
@@ -812,12 +783,15 @@ fn work_response(
                         true,
                     )
                 }
-                Ok(Err((kind, message))) => {
+                Ok(Err(failed)) => {
                     inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if kind == "deadline_exceeded" {
+                    if failed.kind == "deadline_exceeded" {
                         inner.metrics.deadline_kills.inc();
                     }
-                    (error_response(id, Some(cmd), &kind, &message, None), false)
+                    (
+                        error_response(id, Some(cmd), failed.kind, &failed.message, None),
+                        false,
+                    )
                 }
                 Err(_) => {
                     inner.served_err.fetch_add(1, Ordering::Relaxed);
@@ -837,34 +811,17 @@ fn work_response(
     }
 }
 
-/// Answers one `advise` request on the connection thread: generate the
-/// matrix, run the three-tier advisor with whatever model the daemon
-/// loaded at bind time, and report the selected plan with its tier and
-/// selection latency. Never touches the admission queue — plan advice
-/// stays available even when every simulation worker is busy.
-fn advise_response(
-    inner: &Arc<Inner>,
-    id: Option<&JsonValue>,
-    benchmark: Benchmark,
-    scale: Scale,
-    k: usize,
-    pes: usize,
-) -> (String, bool) {
-    let a = benchmark.generate(scale);
-    let config = SystemConfig::scaled(pes);
-    let ranker = inner
-        .model
-        .as_ref()
-        .map(|m| m as &dyn spade_core::advisor::PlanRanker);
-    // The timer starts after matrix generation: the histogram measures
-    // plan *selection*, the thing the cost model accelerates.
-    let started = Instant::now();
-    match advise_tiered(&a, k, &config, ranker) {
-        Ok(advice) => {
-            let latency_us = started.elapsed().as_micros() as u64;
+/// Answers one `advise` request on the connection thread with whatever
+/// model the daemon loaded at bind time. Never touches the admission
+/// queue — plan advice stays available even when every simulation worker
+/// is busy.
+fn advise_response(inner: &Arc<Inner>, id: Option<&JsonValue>, target: &Target) -> (String, bool) {
+    let ranker = inner.model.as_ref().map(|m| m as &dyn PlanRanker);
+    match request::advise(target, ranker) {
+        Ok(advised) => {
             inner
                 .metrics
-                .count_advise(advice.source.as_str(), latency_us);
+                .count_advise(advised.source, advised.latency_us);
             inner.served_ok.fetch_add(1, Ordering::Relaxed);
             let mut fields = vec![
                 ("ok", JsonValue::from(true)),
@@ -874,30 +831,13 @@ fn advise_response(
             if let Some(id) = id {
                 fields.push(("id", id.clone()));
             }
-            fields.push((
-                "result",
-                JsonValue::object([
-                    ("benchmark", benchmark.short_name().into()),
-                    ("k", k.into()),
-                    ("pes", pes.into()),
-                    ("source", advice.source.as_str().into()),
-                    ("plan", plan_json(&advice.plan)),
-                    (
-                        "predicted_cycles",
-                        advice
-                            .predicted_cycles
-                            .map_or(JsonValue::Null, JsonValue::from),
-                    ),
-                    ("latency_us", latency_us.into()),
-                ]),
-            ));
+            fields.push(("result", advised.to_json(target)));
             (JsonValue::object(fields).render(), true)
         }
-        Err(e) => {
+        Err(message) => {
             inner.served_err.fetch_add(1, Ordering::Relaxed);
-            let message = e.to_string();
             (
-                error_response(id, Some("advise"), error_kind(&message), &message, None),
+                error_response(id, Some("advise"), "sim_failed", &message, None),
                 false,
             )
         }
@@ -951,7 +891,7 @@ enum BatchSlot {
     },
     /// Admitted; the worker's reply arrives on `rx`.
     Pending {
-        rx: Receiver<Result<String, (String, String)>>,
+        rx: Receiver<Result<String, Failed>>,
         cache_key: Option<String>,
     },
 }
@@ -970,15 +910,15 @@ fn batch_response(
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
     id: Option<&JsonValue>,
-    jobs: Vec<Result<RunSpec, String>>,
+    jobs: Vec<Result<BatchJob, String>>,
 ) -> (String, bool) {
     let total = jobs.len();
     log_event(inner, rid, "batch", &[("jobs", total.into())]);
     let mut slots = Vec::with_capacity(total);
     let mut workloads = Workloads::new();
-    for (index, spec) in jobs.into_iter().enumerate() {
-        let spec = match spec {
-            Ok(spec) => spec,
+    for (index, job) in jobs.into_iter().enumerate() {
+        let job = match job {
+            Ok(job) => job,
             Err(message) => {
                 slots.push(BatchSlot::Done {
                     rendered: batch_job_error(index, "bad_request", &message, None),
@@ -987,7 +927,7 @@ fn batch_response(
                 continue;
             }
         };
-        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), spec.cache_key.as_deref()) {
+        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), job.cache_key.as_deref()) {
             if let Some(payload) = cache.get(key) {
                 if let Ok(result) = String::from_utf8(payload) {
                     inner.served_ok.fetch_add(1, Ordering::Relaxed);
@@ -1006,11 +946,11 @@ fn batch_response(
             }
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let (kind, cache_key) = spec.into_work(&mut workloads);
+        let cache_key = job.cache_key;
         let item = WorkItem {
             rid,
             cmd: "batch",
-            kind,
+            kind: WorkKind::Job(Prepared::Run(Box::new(job.run.prepare(&mut workloads)))),
             store_key: cache_key.clone(),
             enqueued: Instant::now(),
             reply: reply_tx,
@@ -1069,12 +1009,15 @@ fn batch_response(
                         "ok",
                     )
                 }
-                Ok(Err((kind, message))) => {
+                Ok(Err(failed)) => {
                     inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if kind == "deadline_exceeded" {
+                    if failed.kind == "deadline_exceeded" {
                         inner.metrics.deadline_kills.inc();
                     }
-                    (batch_job_error(index, &kind, &message, None), "error")
+                    (
+                        batch_job_error(index, failed.kind, &failed.message, None),
+                        "error",
+                    )
                 }
                 Err(_) => {
                     inner.served_err.fetch_add(1, Ordering::Relaxed);
@@ -1238,7 +1181,7 @@ enum Request {
     /// `cache_key` before anything is prepared.
     Work {
         cmd: &'static str,
-        spec: WorkSpec,
+        work: Work,
         cache_key: Option<String>,
     },
     /// A sweep: many `run`-shaped jobs answered in one reply. Each slot
@@ -1246,23 +1189,19 @@ enum Request {
     /// earned — a malformed job fails only its own slot, in keeping with
     /// the per-job containment contract.
     Batch {
-        jobs: Vec<Result<RunSpec, String>>,
+        jobs: Vec<Result<BatchJob, String>>,
     },
-    /// Millisecond plan selection for one (benchmark, scale, k, pes):
-    /// the three-tier advisor, answered on the connection thread — never
-    /// a simulation worker, so advice stays available under full load.
-    Advise {
-        benchmark: Benchmark,
-        scale: Scale,
-        k: usize,
-        pes: usize,
-    },
+    /// Millisecond plan selection, answered on the connection thread —
+    /// never a simulation worker, so advice stays available under full
+    /// load.
+    Advise(Target),
 }
 
-/// Parses one frame into a request, applying the same validation the CLI
-/// flags get — every reject happens before any simulation work starts.
-/// Cache keys come from `digests`, which learns each graph's digest the
-/// first time a request names it.
+/// Parses one frame into a request: the envelope (`cmd`, `id`) and the
+/// daemon's own fields (`no_cache`, batch and query shapes) here, the
+/// job fields in the request core — every reject happens before any
+/// simulation work starts. Cache keys come from `digests`, which learns
+/// each graph's digest the first time a request names it.
 fn parse_request(
     frame: &[u8],
     default_deadline: Option<Cycle>,
@@ -1286,145 +1225,25 @@ fn parse_request(
         "status" => Request::Status,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "run" => parse_run(&doc, default_deadline, digests)?,
-        "search" => parse_search(&doc, default_deadline, digests)?,
-        "query" => parse_query(&doc)?,
-        "trace" => parse_trace(&doc, default_deadline, digests)?,
-        "batch" => parse_batch(&doc, default_deadline, digests)?,
-        "advise" => Request::Advise {
-            benchmark: parse_wire_benchmark(&doc)?,
-            scale: parse_wire_scale(&doc)?,
-            k: parse_wire_k(&doc)?,
-            pes: parse_wire_pes(&doc)?,
+        "query" => Request::Work {
+            cmd: "query",
+            work: Work::Query(parse_query(&doc)?),
+            cache_key: None,
         },
-        other => return Err(format!("unknown cmd {other:?}")),
+        "batch" => parse_batch(&doc, default_deadline, digests)?,
+        "advise" => Request::Advise(request::parse_target(&doc)?),
+        _ => {
+            let job = request::parse(&doc, default_deadline)?;
+            let no_cache = field_bool(&doc, "no_cache", false)?;
+            Request::Work {
+                cmd: job.cmd(),
+                cache_key: (!no_cache)
+                    .then(|| job.cache_key(&digests.digest(job.target().graph()))),
+                work: Work::Job(job),
+            }
+        }
     };
     Ok((id, req))
-}
-
-fn field_str<'a>(doc: &'a JsonValue, key: &str, default: &'a str) -> Result<&'a str, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_str().ok_or(format!("\"{key}\" must be a string")),
-    }
-}
-
-fn field_u64(doc: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or(format!("\"{key}\" must be a non-negative integer")),
-    }
-}
-
-fn field_bool(doc: &JsonValue, key: &str, default: bool) -> Result<bool, String> {
-    match doc.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or(format!("\"{key}\" must be a boolean")),
-    }
-}
-
-fn parse_wire_scale(doc: &JsonValue) -> Result<Scale, String> {
-    match field_str(doc, "scale", "tiny")? {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "default" => Ok(Scale::Default),
-        "large" => Ok(Scale::Large),
-        other => Err(format!("unknown scale {other:?}")),
-    }
-}
-
-fn parse_wire_benchmark(doc: &JsonValue) -> Result<Benchmark, String> {
-    let name = doc
-        .get("benchmark")
-        .and_then(JsonValue::as_str)
-        .ok_or("\"benchmark\" is required")?;
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.short_name().eq_ignore_ascii_case(name))
-        .ok_or(format!("unknown benchmark {name:?}"))
-}
-
-fn parse_wire_k(doc: &JsonValue) -> Result<usize, String> {
-    let k = field_u64(doc, "k")?.unwrap_or(32) as usize;
-    let line = spade_matrix::FLOATS_PER_LINE;
-    if k == 0 || !k.is_multiple_of(line) {
-        return Err(format!(
-            "\"k\": {k} is not a multiple of the cache line ({line} floats)"
-        ));
-    }
-    if k > MAX_REQUEST_K {
-        return Err(format!(
-            "\"k\": {k} exceeds the service limit {MAX_REQUEST_K}"
-        ));
-    }
-    Ok(k)
-}
-
-fn parse_wire_pes(doc: &JsonValue) -> Result<usize, String> {
-    let pes = field_u64(doc, "pes")?.unwrap_or(56) as usize;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("\"pes\" must be a positive multiple of 4".into());
-    }
-    if pes > MAX_REQUEST_PES {
-        return Err(format!(
-            "\"pes\": {pes} exceeds the service limit {MAX_REQUEST_PES}"
-        ));
-    }
-    Ok(pes)
-}
-
-fn parse_wire_kernel(doc: &JsonValue) -> Result<Primitive, String> {
-    match field_str(doc, "kernel", "spmm")? {
-        "spmm" => Ok(Primitive::Spmm),
-        "sddmm" => Ok(Primitive::Sddmm),
-        other => Err(format!("unknown kernel {other:?}")),
-    }
-}
-
-/// The request deadline: explicit `deadline_cycles` wins, otherwise the
-/// service default; an explicit `0` means "no deadline".
-fn parse_wire_deadline(
-    doc: &JsonValue,
-    config_default: Option<Cycle>,
-) -> Result<Option<Cycle>, String> {
-    match field_u64(doc, "deadline_cycles")? {
-        Some(0) => Ok(None),
-        Some(d) => Ok(Some(d)),
-        None => Ok(config_default),
-    }
-}
-
-/// The request's plan: the Base plan for a matrix `num_cols` wide, with
-/// the request's knob overrides.
-fn parse_wire_plan(doc: &JsonValue, num_cols: usize) -> Result<ExecutionPlan, String> {
-    let mut plan = ExecutionPlan::base_for_cols(num_cols);
-    let mut rp = plan.tiling.row_panel_size;
-    let mut cp = plan.tiling.col_panel_size;
-    if let Some(v) = field_u64(doc, "rp")? {
-        rp = v as usize;
-    }
-    match doc.get("cp") {
-        None => {}
-        Some(v) if v.as_str() == Some("all") => cp = num_cols.max(1),
-        Some(v) => {
-            cp = v.as_u64().ok_or("\"cp\" must be an integer or \"all\"")? as usize;
-        }
-    }
-    plan.tiling = spade_matrix::TilingConfig::new(rp, cp).map_err(|e| e.to_string())?;
-    plan.r_policy = match field_str(doc, "rmatrix", "cache")? {
-        "cache" => RMatrixPolicy::Cache,
-        "bypass" => RMatrixPolicy::Bypass,
-        "victim" => RMatrixPolicy::BypassVictim,
-        other => return Err(format!("unknown rmatrix policy {other:?}")),
-    };
-    plan.c_policy = CMatrixPolicy::Cache;
-    if field_bool(doc, "barriers", false)? {
-        plan.barriers = BarrierPolicy::per_column_panel();
-    }
-    Ok(plan)
 }
 
 /// Cache-key digests of the graphs requests have named, one per
@@ -1438,133 +1257,45 @@ fn parse_wire_plan(doc: &JsonValue, num_cols: usize) -> Result<ExecutionPlan, St
 struct KeyDigests(Mutex<HashMap<(Benchmark, Scale), MatrixDigest>>);
 
 impl KeyDigests {
-    /// The named graph with its digest, generating the matrix to record
-    /// the digest on the graph's first sight only.
-    fn graph(&self, benchmark: Benchmark, scale: Scale) -> Graph {
+    /// The named graph's digest, generating the matrix to record it on
+    /// the graph's first sight only.
+    fn digest(&self, (benchmark, scale): (Benchmark, Scale)) -> MatrixDigest {
         let table = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
         let known = table().get(&(benchmark, scale)).copied();
-        let digest = known.unwrap_or_else(|| {
+        known.unwrap_or_else(|| {
             // Generated outside the lock: a large graph's first sight
             // must not stall other connections' lookups.
             let digest = MatrixDigest::of(&benchmark.generate(scale));
             table().insert((benchmark, scale), digest);
             digest
-        });
-        Graph {
-            benchmark,
-            scale,
-            digest,
+        })
+    }
+}
+
+/// A parsed `run`/`trace`/`search`/`query` before its cache probe:
+/// [`Work::prepare`] turns it into admitted work, and only a miss calls
+/// it.
+enum Work {
+    Job(request::Request),
+    Query(QueryFilter),
+}
+
+impl Work {
+    fn prepare(self) -> WorkKind {
+        match self {
+            Work::Job(job) => WorkKind::Job(job.prepare(&mut Workloads::new())),
+            Work::Query(filter) => WorkKind::Query { filter },
         }
     }
 }
 
-/// Workloads prepared for the misses of one request, by graph and `k`:
-/// the missed slots of a batch sweep share one preparation (and so one
-/// memoized gold result) per (benchmark, scale, k).
-type Workloads = HashMap<(Benchmark, Scale, usize), Arc<Workload>>;
-
-/// The graph a request names, with its key digest.
-struct Graph {
-    benchmark: Benchmark,
-    scale: Scale,
-    digest: MatrixDigest,
-}
-
-impl Graph {
-    /// The prepared workload for `k`. Only a cache miss calls this.
-    fn workload(&self, k: usize, workloads: &mut Workloads) -> Arc<Workload> {
-        let (benchmark, scale) = (self.benchmark, self.scale);
-        Arc::clone(
-            workloads
-                .entry((benchmark, scale, k))
-                .or_insert_with(|| Arc::new(Workload::prepare(benchmark, scale, k))),
-        )
-    }
-}
-
-/// One parsed `run`-shaped job: the standalone `run` request, every
-/// `batch` slot and the `trace` request go through exactly this, so a
-/// batch job's cache key, deadline resolution and rendered payload are
+/// One `batch` slot: the standalone `run` request's parse and key, so
+/// a batch job's cache key, deadline and rendered payload are
 /// byte-for-byte those of the equivalent individual request.
-struct RunSpec {
-    graph: Graph,
-    kernel: Primitive,
-    k: usize,
-    pes: usize,
-    plan: ExecutionPlan,
-    deadline: Option<Cycle>,
-    /// The run's key (see [`Job::cache_key`]); `None` with `no_cache`.
+struct BatchJob {
+    run: RunRequest,
+    /// The run's key; `None` with `no_cache`.
     cache_key: Option<String>,
-}
-
-impl RunSpec {
-    /// The job, prepared — only after the cache probe missed.
-    fn job(&self, workloads: &mut Workloads) -> Job {
-        let workload = self.graph.workload(self.k, workloads);
-        let config = Arc::new(SystemConfig::scaled(self.pes));
-        Job::new(&workload, &config, self.kernel, self.plan).with_deadline_cycles(self.deadline)
-    }
-
-    fn into_work(self, workloads: &mut Workloads) -> (WorkKind, Option<String>) {
-        let job = self.job(workloads);
-        (
-            WorkKind::Run {
-                job: Box::new(job),
-                benchmark: self.graph.benchmark.short_name().to_string(),
-                kernel: self.kernel,
-                k: self.k,
-                pes: self.pes,
-            },
-            self.cache_key,
-        )
-    }
-}
-
-/// Parses one `run`-shaped document. The key comes from the graph's
-/// digest; nothing is prepared until the cache probe misses.
-fn parse_run_spec(
-    doc: &JsonValue,
-    default_deadline: Option<Cycle>,
-    digests: &KeyDigests,
-) -> Result<RunSpec, String> {
-    let bench = parse_wire_benchmark(doc)?;
-    let scale = parse_wire_scale(doc)?;
-    let k = parse_wire_k(doc)?;
-    let pes = parse_wire_pes(doc)?;
-    let kernel = parse_wire_kernel(doc)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
-    let no_cache = field_bool(doc, "no_cache", false)?;
-    let graph = digests.graph(bench, scale);
-    let plan = parse_wire_plan(doc, graph.digest.num_cols())?;
-    // The deadline is resolved at admission (per-request field or the
-    // service default), so it lands in the cache key before the probe.
-    let cache_key = (!no_cache).then(|| {
-        graph
-            .digest
-            .run_key(k, &SystemConfig::scaled(pes), kernel, &plan, deadline)
-    });
-    Ok(RunSpec {
-        graph,
-        kernel,
-        k,
-        pes,
-        plan,
-        deadline,
-        cache_key,
-    })
-}
-
-fn parse_run(
-    doc: &JsonValue,
-    default_deadline: Option<Cycle>,
-    digests: &KeyDigests,
-) -> Result<Request, String> {
-    let spec = parse_run_spec(doc, default_deadline, digests)?;
-    Ok(Request::Work {
-        cmd: "run",
-        cache_key: spec.cache_key.clone(),
-        spec: WorkSpec::Run(spec),
-    })
 }
 
 /// Fields a batch request may set once for every job (anything but the
@@ -1675,147 +1406,18 @@ fn parse_batch(
             job_docs.len()
         ));
     }
-    let jobs = job_docs
-        .iter()
-        .map(|job| {
-            merged_job_doc(job, doc)
-                .and_then(|merged| parse_run_spec(&merged, default_deadline, digests))
+    let parse_job = |job: &JsonValue| -> Result<BatchJob, String> {
+        let merged = merged_job_doc(job, doc)?;
+        let run = RunRequest::parse(&merged, default_deadline)?;
+        let no_cache = field_bool(&merged, "no_cache", false)?;
+        Ok(BatchJob {
+            cache_key: (!no_cache).then(|| run.cache_key(&digests.digest(run.target.graph()))),
+            run,
         })
-        .collect();
-    Ok(Request::Batch { jobs })
-}
-
-fn parse_search(
-    doc: &JsonValue,
-    default_deadline: Option<Cycle>,
-    digests: &KeyDigests,
-) -> Result<Request, String> {
-    let bench = parse_wire_benchmark(doc)?;
-    let scale = parse_wire_scale(doc)?;
-    let k = parse_wire_k(doc)?;
-    let pes = parse_wire_pes(doc)?;
-    let full = field_bool(doc, "full", false)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
-    let no_cache = field_bool(doc, "no_cache", false)?;
-    let graph = digests.graph(bench, scale);
-    let space = if full {
-        PlanSearchSpace::table3(k)
-    } else {
-        PlanSearchSpace::quick(k)
     };
-    let spec = SearchSpec {
-        plans: space.enumerate_for_cols(graph.digest.num_cols()),
-        graph,
-        k,
-        pes,
-        deadline,
-    };
-    Ok(Request::Work {
-        cmd: "search",
-        cache_key: (!no_cache).then(|| spec.cache_key()),
-        spec: WorkSpec::Search(spec),
+    Ok(Request::Batch {
+        jobs: job_docs.iter().map(parse_job).collect(),
     })
-}
-
-/// One parsed `search`: every candidate plan of the space on one graph.
-struct SearchSpec {
-    graph: Graph,
-    k: usize,
-    pes: usize,
-    plans: Vec<ExecutionPlan>,
-    deadline: Option<Cycle>,
-}
-
-impl SearchSpec {
-    /// The search's key (see [`MatrixDigest::search_key`]).
-    fn cache_key(&self) -> String {
-        self.graph.digest.search_key(
-            self.k,
-            &SystemConfig::scaled(self.pes),
-            &self.plans,
-            self.deadline,
-        )
-    }
-
-    /// The candidate jobs, prepared — only after the cache probe missed.
-    fn into_work(self) -> WorkKind {
-        let workload = self.graph.workload(self.k, &mut Workloads::new());
-        let config = Arc::new(SystemConfig::scaled(self.pes));
-        let jobs = self
-            .plans
-            .iter()
-            .map(|&plan| {
-                Job::new(&workload, &config, Primitive::Spmm, plan)
-                    .with_deadline_cycles(self.deadline)
-            })
-            .collect();
-        WorkKind::Search {
-            benchmark: self.graph.benchmark.short_name().to_string(),
-            jobs,
-            plans: self.plans,
-            k: self.k,
-            pes: self.pes,
-        }
-    }
-}
-
-/// A `trace` request is a `run` request with trace capture forced on
-/// plus an optional telemetry `window` (cycles; default 256, `0`
-/// disables the telemetry lane). Keyed like [`Job::trace_cache_key`], so
-/// a repeated trace is a cache hit with byte-identical trace JSON.
-fn parse_trace(
-    doc: &JsonValue,
-    default_deadline: Option<Cycle>,
-    digests: &KeyDigests,
-) -> Result<Request, String> {
-    let run = parse_run_spec(doc, default_deadline, digests)?;
-    let window = field_u64(doc, "window")?.unwrap_or(256);
-    let cache_key = run
-        .cache_key
-        .as_deref()
-        .map(|key| trace_key(key, telemetry_window(window)));
-    Ok(Request::Work {
-        cmd: "trace",
-        cache_key,
-        spec: WorkSpec::Trace { run, window },
-    })
-}
-
-/// The telemetry window a trace `window` asks for (`0`: none).
-fn telemetry_window(window: u64) -> Option<Cycle> {
-    (window > 0).then_some(window)
-}
-
-/// A parsed `run`/`trace`/`search`/`query` before its cache probe:
-/// [`WorkSpec::prepare`] turns it into admitted work, and only a miss
-/// calls it.
-enum WorkSpec {
-    Run(RunSpec),
-    Trace { run: RunSpec, window: u64 },
-    Search(SearchSpec),
-    Query(QueryFilter),
-}
-
-impl WorkSpec {
-    fn prepare(self) -> WorkKind {
-        match self {
-            WorkSpec::Run(run) => run.into_work(&mut Workloads::new()).0,
-            WorkSpec::Trace { run, window } => WorkKind::Trace {
-                job: Box::new(
-                    run.job(&mut Workloads::new())
-                        .with_telemetry(telemetry_window(window))
-                        .with_trace(true),
-                ),
-                benchmark: run.graph.benchmark.short_name().to_string(),
-                kernel: run.kernel,
-                k: run.k,
-                pes: run.pes,
-                window,
-            },
-            WorkSpec::Search(search) => search.into_work(),
-            WorkSpec::Query(filter) => WorkKind::Query { filter },
-        }
-    }
 }
 
 /// The catalog dimension a `query` aggregation groups on.
@@ -1878,14 +1480,14 @@ impl QueryFilter {
 /// Validates a `query` request's filter fields — unknown benchmarks,
 /// kernels and kinds are rejected here as `bad_request`, like every
 /// other wire field.
-fn parse_query(doc: &JsonValue) -> Result<Request, String> {
+fn parse_query(doc: &JsonValue) -> Result<QueryFilter, String> {
     let benchmark = match doc.get("benchmark") {
         None => None,
-        Some(_) => Some(parse_wire_benchmark(doc)?.short_name().to_string()),
+        Some(_) => Some(request::parse_benchmark(doc)?.short_name().to_string()),
     };
     let kernel = match doc.get("kernel") {
         None => None,
-        Some(_) => Some(parse_wire_kernel(doc)?.to_string().to_lowercase()),
+        Some(_) => Some(request::parse_kernel(doc)?.to_string().to_lowercase()),
     };
     let kind = match field_str(doc, "kind", "")? {
         "" => None,
@@ -1913,20 +1515,16 @@ fn parse_query(doc: &JsonValue) -> Result<Request, String> {
             return Err(format!("unknown group_by {other:?} (benchmark|kernel|pes)"));
         }
     };
-    Ok(Request::Work {
-        cmd: "query",
-        cache_key: None,
-        spec: WorkSpec::Query(QueryFilter {
-            benchmark,
-            kernel,
-            kind,
-            k: field_u64(doc, "k")?,
-            pes: field_u64(doc, "pes")?,
-            min_cycles: field_u64(doc, "min_cycles")?,
-            max_cycles: field_u64(doc, "max_cycles")?,
-            limit,
-            group_by,
-        }),
+    Ok(QueryFilter {
+        benchmark,
+        kernel,
+        kind,
+        k: field_u64(doc, "k")?,
+        pes: field_u64(doc, "pes")?,
+        min_cycles: field_u64(doc, "min_cycles")?,
+        max_cycles: field_u64(doc, "max_cycles")?,
+        limit,
+        group_by,
     })
 }
 
@@ -2022,198 +1620,26 @@ fn maybe_flush_index(inner: &Arc<Inner>) {
     }
 }
 
-/// Classifies a job failure into a protocol error kind: watchdog
-/// cycle-ceiling trips are deadline errors, everything else (invalid
-/// config, deadlock, gold divergence, contained panic) is `sim_failed`.
-fn error_kind(message: &str) -> &'static str {
-    if message.contains("cycle budget exceeded") {
-        "deadline_exceeded"
-    } else {
-        "sim_failed"
-    }
-}
-
-fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, String)> {
+/// Runs one admitted item. A single-worker runner still wraps the jobs
+/// in the panic guard with one retry — a crashing simulation fails this
+/// request, never the worker thread.
+fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, Failed> {
     match kind {
-        WorkKind::Run {
-            job,
-            benchmark,
-            kernel,
-            k,
-            pes,
-        } => {
-            // A single-worker runner still wraps the job in the panic
-            // guard with one retry — a crashing simulation fails this
-            // request, never the worker thread.
-            let mut outputs = ParallelRunner::new(1).run_outputs(std::slice::from_ref(job));
-            match outputs.pop().expect("one job in, one result out") {
-                Ok(output) => {
-                    inner.metrics.sim_cycles.observe(output.report.cycles);
-                    Ok(run_result_json(benchmark, *kernel, *k, *pes, &job.plan, &output).render())
-                }
-                Err(e) => Err((error_kind(&e.message).to_string(), e.to_string())),
+        WorkKind::Job(prepared) => {
+            let executed = prepared.execute(&ParallelRunner::new(1))?;
+            for &cycles in &executed.cycles {
+                inner.metrics.sim_cycles.observe(cycles);
             }
-        }
-        WorkKind::Trace {
-            job,
-            benchmark,
-            kernel,
-            k,
-            pes,
-            window,
-        } => {
-            let mut outputs = ParallelRunner::new(1).run_outputs(std::slice::from_ref(job));
-            match outputs.pop().expect("one job in, one result out") {
-                Ok(output) => {
-                    inner.metrics.sim_cycles.observe(output.report.cycles);
-                    let (chrome, events) = trace_document(&output, job.config.num_pes)
-                        .map_err(|e| ("sim_failed".to_string(), e))?;
-                    // Rendered like `ok_envelope`: head object rendered,
-                    // then the Chrome JSON spliced in verbatim so the
-                    // wire bytes equal the local `spade-cli trace` file.
-                    let head = JsonValue::object([
-                        ("benchmark", benchmark.as_str().into()),
-                        ("kernel", kernel.to_string().into()),
-                        ("k", (*k).into()),
-                        ("pes", (*pes).into()),
-                        ("window", (*window).into()),
-                        ("events", events.into()),
-                        ("plan", plan_json(&job.plan)),
-                        ("report", canonical_report(&output.report).to_json()),
-                    ]);
-                    let mut s = head.render();
-                    s.pop();
-                    s.push_str(",\"trace\":");
-                    s.push_str(&chrome);
-                    s.push('}');
-                    Ok(s)
-                }
-                Err(e) => Err((error_kind(&e.message).to_string(), e.to_string())),
-            }
+            Ok(executed.render())
         }
         WorkKind::Query { filter } => match &inner.dataset {
             Some(dataset) => Ok(dataset.query(filter).render()),
-            None => Err((
-                "bad_request".to_string(),
-                "daemon has no cache configured; nothing to query".to_string(),
-            )),
+            None => Err(Failed {
+                kind: "bad_request",
+                message: "daemon has no cache configured; nothing to query".to_string(),
+            }),
         },
-        WorkKind::Search {
-            benchmark,
-            jobs,
-            plans,
-            k,
-            pes,
-        } => {
-            let outcomes = ParallelRunner::new(1).run_outputs(jobs);
-            let mut failures = 0usize;
-            let mut results: Vec<(&ExecutionPlan, JobOutput)> = Vec::with_capacity(plans.len());
-            let mut last_error = String::new();
-            for (plan, outcome) in plans.iter().zip(outcomes) {
-                match outcome {
-                    Ok(o) => {
-                        inner.metrics.sim_cycles.observe(o.report.cycles);
-                        results.push((plan, o));
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        last_error = e.to_string();
-                    }
-                }
-            }
-            if results.is_empty() {
-                return Err((
-                    error_kind(&last_error).to_string(),
-                    format!("all {failures} candidate plans failed (last: {last_error})"),
-                ));
-            }
-            results.sort_by_key(|(_, o)| o.report.cycles);
-            let candidates: Vec<JsonValue> = results
-                .iter()
-                .map(|(plan, o)| {
-                    JsonValue::object([
-                        ("plan", plan_json(plan)),
-                        ("cycles", o.report.cycles.into()),
-                        ("dram_accesses", o.report.dram_accesses.into()),
-                        ("requests_per_cycle", o.report.requests_per_cycle.into()),
-                    ])
-                })
-                .collect();
-            Ok(JsonValue::object([
-                ("benchmark", benchmark.as_str().into()),
-                ("k", (*k).into()),
-                ("pes", (*pes).into()),
-                ("failures", failures.into()),
-                ("candidates", JsonValue::Array(candidates)),
-            ])
-            .render())
-        }
     }
-}
-
-/// An execution plan as a JSON object, as both the CLI and the daemon
-/// render it.
-pub fn plan_json(p: &ExecutionPlan) -> JsonValue {
-    JsonValue::object([
-        ("row_panel_size", p.tiling.row_panel_size.into()),
-        ("col_panel_size", p.tiling.col_panel_size.into()),
-        ("r_policy", format!("{:?}", p.r_policy).into()),
-        ("c_policy", format!("{:?}", p.c_policy).into()),
-        ("barriers", p.barriers.is_enabled().into()),
-    ])
-}
-
-/// A report with its host wall-clock time zeroed: it describes the
-/// serving host, not the simulated machine (it is already excluded from
-/// [`RunReport`] equality). This is what makes a cache hit byte-identical
-/// to a fresh simulation of the same request.
-pub fn canonical_report(report: &RunReport) -> RunReport {
-    let mut canon = report.clone();
-    canon.host_wall_ns = 0.0;
-    canon
-}
-
-fn run_result_json(
-    benchmark: &str,
-    kernel: Primitive,
-    k: usize,
-    pes: usize,
-    plan: &ExecutionPlan,
-    output: &JobOutput,
-) -> JsonValue {
-    JsonValue::object([
-        ("benchmark", benchmark.into()),
-        ("kernel", kernel.to_string().into()),
-        ("k", k.into()),
-        ("pes", pes.into()),
-        ("plan", plan_json(plan)),
-        ("report", canonical_report(&output.report).to_json()),
-    ])
-}
-
-/// Builds the Chrome-trace JSON for a traced job output — the telemetry
-/// series (when captured) merged in as its own lane above the PE lanes,
-/// events sorted by time — and returns it with the event count. Both
-/// `spade-cli trace` and the daemon's `trace` request go through here,
-/// so a wire-served trace is byte-identical to the locally written file
-/// by construction.
-///
-/// # Errors
-///
-/// Fails when the job did not actually capture a trace.
-pub fn trace_document(output: &JobOutput, num_pes: usize) -> Result<(String, usize), String> {
-    let mut trace = output
-        .trace
-        .clone()
-        .ok_or_else(|| "tracing produced no event log".to_string())?;
-    if let Some(series) = &output.telemetry {
-        let lane = num_pes as u64 + 1;
-        trace.set_lane(lane, "telemetry");
-        trace.add_telemetry(series, lane);
-        trace.sort_by_time();
-    }
-    let events = trace.len();
-    Ok((trace.to_chrome_json(), events))
 }
 
 // ---------------------------------------------------------------------------
@@ -2467,7 +1893,7 @@ impl DatasetIndex {
 /// Exports the cache catalog as one JSON document — the dataset a cost
 /// model is trained from (`spade-cli dataset export` / `model train`).
 /// Loads the catalog exactly the way the daemon does at bind time
-/// ([`DatasetIndex::load`]): rows from a current `index.json` are
+/// (`DatasetIndex::load`): rows from a current `index.json` are
 /// trusted, anything the index is stale or missing for is rebuilt from
 /// the entry payloads on disk, and entries that fail their checksum are
 /// quarantined and *skipped* — the export reports how many in
@@ -2716,6 +2142,9 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Job;
+    use crate::suite::Workload;
+    use spade_core::SystemConfig;
 
     /// Wire plan fields: the base plan, a small-row-panel victim plan, an
     /// explicit full-width column panel, and barriers.
@@ -2739,7 +2168,7 @@ mod tests {
             let docs = ["spmm", "sddmm"].into_iter().flat_map(|kernel| {
                 PLANS.map(|plan| {
                     JsonValue::parse(&format!(
-                        r#"{{"benchmark":"{}","kernel":"{kernel}"{plan}}}"#,
+                        r#"{{"cmd":"run","benchmark":"{}","kernel":"{kernel}"{plan}}}"#,
                         bench.short_name()
                     ))
                     .expect("request document")
@@ -2749,17 +2178,19 @@ mod tests {
                 let job = Job::new(
                     &w,
                     &config,
-                    parse_wire_kernel(&doc).expect("kernel"),
-                    parse_wire_plan(&doc, w.a.num_cols()).expect("plan"),
+                    request::parse_kernel(&doc).expect("kernel"),
+                    request::PlanKnobs::parse(&doc)
+                        .expect("plan")
+                        .plan(w.a.num_cols()),
                 )
                 .with_deadline_cycles(deadline);
                 let want = job.cache_key();
-                let spec = parse_run_spec(&doc, deadline, &digests).expect("spec");
+                let run = RunRequest::parse(&doc, deadline).expect("request");
                 let context = doc.render();
-                assert_eq!(spec.cache_key.as_deref(), Some(want.as_str()), "{context}");
+                let key = run.cache_key(&digests.digest(run.target.graph()));
+                assert_eq!(key, want, "{context}");
                 // The job a miss prepares names the same entry.
-                let prepared = spec.job(&mut workloads);
-                assert_eq!(prepared.cache_key(), want, "{context}");
+                assert_eq!(run.prepare(&mut workloads).cache_key(), want, "{context}");
             }
             assert_eq!(digests.0.lock().expect("digest table").len(), 1);
         }

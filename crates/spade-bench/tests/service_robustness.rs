@@ -167,6 +167,7 @@ fn byzantine_clients_fail_their_requests_not_the_daemon() {
         "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"pes\":3}",
         "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"pes\":1000000}",
         "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"rmatrix\":\"psychic\"}",
+        "{\"cmd\":\"search\",\"benchmark\":\"myc\",\"kernel\":\"sddmm\"}",
     ] {
         let resp = parse(&client.request_line(frame).expect("reply"));
         assert_eq!(

@@ -1,4 +1,10 @@
 //! Subcommand implementations.
+//!
+//! `run`, `search`, `trace`, `advise` and `mm` are in-process clients of
+//! the daemon's request core ([`spade_bench::request`]): their flags
+//! become the document `client` would send, the core parses and executes
+//! it, and the command prints the core's result bytes (`--format json`)
+//! or the text its `client` twin prints for the same result.
 
 use std::fs::File;
 use std::io::BufReader;
@@ -6,17 +12,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spade_bench::model::{CostModel, TrainingRow};
-use spade_bench::parallel::{self, Job, JobOutput, ParallelRunner};
+use spade_bench::parallel::{Job, ParallelRunner};
+use spade_bench::request::{self, Advised, Prepared, Workloads};
 use spade_bench::service;
 use spade_bench::suite::Workload;
 use spade_core::advisor::PlanRanker;
-use spade_core::{
-    advisor, BarrierPolicy, CMatrixPolicy, ExecutionPlan, JsonValue, PlanSearchSpace, Primitive,
-    RMatrixPolicy, RunReport, SystemConfig, TelemetrySeries,
-};
+use spade_core::{advisor, JsonValue, Primitive, RMatrixPolicy, SystemConfig};
 use spade_matrix::analysis::{MatrixFeatures, MatrixStats};
 use spade_matrix::generators::{Benchmark, Scale};
-use spade_matrix::{mm, Coo};
+use spade_matrix::mm;
+use spade_sim::json::MAX_FRAME_BYTES;
 use spade_sim::Cycle;
 
 use crate::args::Args;
@@ -27,17 +32,18 @@ pub const USAGE: &str = "usage:
   spade-cli run    --benchmark <name> [--kernel spmm|sddmm] [--k 32]
                    [--pes 56] [--scale tiny|small|default|large]
                    [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
-                   [--barriers] [--format json|text] [--telemetry <window>]
-                   [--deadline-cycles N]
+                   [--barriers] [--deadline-cycles N]
+                   [--format json|text] [--telemetry <window>]
   spade-cli trace  <name> [--kernel spmm|sddmm] [--k 32] [--pes 56]
                    [--scale ...] [--rp N] [--cp N|all] [--rmatrix ...]
-                   [--barriers] [--window 256] [--out <file.trace.json>]
+                   [--barriers] [--deadline-cycles N] [--window 256]
+                   [--out <file.trace.json>]
   spade-cli advise --benchmark <name> [--k 32] [--pes 56] [--scale ...]
                    [--fast|--exact] [--model FILE] [--top-n 5] [--exhaustive]
                    [--format json|text]
   spade-cli search --benchmark <name> [--k 32] [--pes 56] [--scale ...] [--full]
-                   [--format json|text] [--telemetry <window>]
-                   [--deadline-cycles N]
+                   [--deadline-cycles N] [--format json|text]
+                   [--telemetry <window>]
   spade-cli mm     --file <matrix.mtx> [--k 32] [--pes 56] [--format json|text]
   spade-cli serve  [--addr 127.0.0.1:7700] [--cache-dir DIR] [--workers N]
                    [--queue 32] [--max-connections 32] [--deadline-cycles N]
@@ -46,8 +52,10 @@ pub const USAGE: &str = "usage:
   spade-cli client ping|status|metrics|shutdown --addr <host:port>
                    [--format json|text] [--prom (metrics only)]
   spade-cli client run|search|trace --addr <host:port> --benchmark <name>
-                   [job flags as above] [--no-cache] [--format json|text]
-                   [--window 256 --out <file.trace.json> (trace only)]
+                   [the local command's request flags] [--no-cache]
+                   [--format json|text] [--out <file.trace.json> (trace only)]
+  spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
+                   [--pes 56] [--scale ...] [--format json|text]
   spade-cli client query --addr <host:port> [--benchmark <name>]
                    [--kernel spmm|sddmm] [--kind run|search|trace] [--k N]
                    [--pes N] [--min-cycles N] [--max-cycles N] [--limit N]
@@ -63,14 +71,20 @@ pub const USAGE: &str = "usage:
                    [--format json|text]
   spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
                    [--gate-speedup X] [--out BENCH_sim.json]
-  spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
-                   [--pes 56] [--scale ...] [--format json|text]
   spade-cli dataset export --cache-dir DIR [--out FILE]
   spade-cli model train --dataset FILE [--scale tiny|small|default|large]
                    [--out spade.model] [--report FILE]
   spade-cli bench-advise [--scale ...] [--k 32] [--pes 56]
                    [--out BENCH_sim.json] [--model-out FILE] [--report-out FILE]
                    [--gate-advise-speedup X] [--gate-advise-quality X]
+
+run, search, trace and advise run the daemon's own request parser and
+executor in-process, so --format json prints the daemon's `result` bytes:
+host_wall_ns reads 0 (text output adds the host wall clock), and advise
+carries scale and features on both. Both front ends take k <= 4096 and
+pes <= 1024; --deadline-cycles 0 means no ceiling. --telemetry adds a
+series that no daemon request reads; advise --exact simulates, so only
+the CLI offers it.
 
 benchmarks: asi liv ork pap del kro myc pac roa ser";
 
@@ -87,10 +101,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let rest = &argv[1..];
     match cmd.as_str() {
         "info" => info(rest),
-        "run" => run(rest),
-        "trace" => trace_cmd(rest),
+        "run" => local_job(rest, "run", RUN),
+        "trace" => local_job(rest, "trace", TRACE),
         "advise" => advise_cmd(rest),
-        "search" => search(rest),
+        "search" => local_job(rest, "search", SEARCH),
         "mm" => run_mm(rest),
         "serve" => serve(rest),
         "client" => client(rest),
@@ -102,34 +116,121 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     }
 }
 
-fn parse_scale(args: &Args) -> Result<Scale, String> {
-    match args.get("scale").unwrap_or("tiny") {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "default" => Ok(Scale::Default),
-        "large" => Ok(Scale::Large),
-        other => Err(format!("--scale: unknown scale '{other}'")),
+/// How a flag's text becomes the value of its request field.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// The text itself.
+    Text,
+    /// A non-negative integer.
+    Number,
+    /// A column panel: an integer or `all`.
+    Panel,
+    /// A switch: `true` when given.
+    Switch,
+}
+
+/// One request field and the flag that sets it.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    flag: &'static str,
+    key: &'static str,
+    kind: Kind,
+}
+
+const fn field(flag: &'static str, key: &'static str, kind: Kind) -> Field {
+    Field { flag, key, kind }
+}
+
+const BENCHMARK: Field = field("benchmark", "benchmark", Kind::Text);
+const SCALE: Field = field("scale", "scale", Kind::Text);
+const KERNEL: Field = field("kernel", "kernel", Kind::Text);
+const K: Field = field("k", "k", Kind::Number);
+const PES: Field = field("pes", "pes", Kind::Number);
+const RP: Field = field("rp", "rp", Kind::Number);
+const CP: Field = field("cp", "cp", Kind::Panel);
+const RMATRIX: Field = field("rmatrix", "rmatrix", Kind::Text);
+const BARRIERS: Field = field("barriers", "barriers", Kind::Switch);
+const DEADLINE: Field = field("deadline-cycles", "deadline_cycles", Kind::Number);
+const WINDOW: Field = field("window", "window", Kind::Number);
+const FULL: Field = field("full", "full", Kind::Switch);
+const NO_CACHE: Field = field("no-cache", "no_cache", Kind::Switch);
+const KIND: Field = field("kind", "kind", Kind::Text);
+const MIN_CYCLES: Field = field("min-cycles", "min_cycles", Kind::Number);
+const MAX_CYCLES: Field = field("max-cycles", "max_cycles", Kind::Number);
+const LIMIT: Field = field("limit", "limit", Kind::Number);
+
+/// The fields each request reads. A command and its `client` twin
+/// declare exactly these flags, plus their own.
+const RUN: &[Field] = &[
+    BENCHMARK, SCALE, KERNEL, K, PES, RP, CP, RMATRIX, BARRIERS, DEADLINE,
+];
+const TRACE: &[Field] = &[
+    BENCHMARK, SCALE, KERNEL, K, PES, RP, CP, RMATRIX, BARRIERS, DEADLINE, WINDOW,
+];
+const SEARCH: &[Field] = &[BENCHMARK, SCALE, K, PES, FULL, DEADLINE];
+const ADVISE: &[Field] = &[BENCHMARK, SCALE, K, PES];
+/// The filters of `client query`, `agg` and `best-plans`.
+const QUERY: &[Field] = &[
+    BENCHMARK, KERNEL, KIND, K, PES, MIN_CYCLES, MAX_CYCLES, LIMIT,
+];
+/// What `client batch` sets once for every job of its sweep.
+const BATCH: &[Field] = &[SCALE, RP, CP, RMATRIX, BARRIERS, DEADLINE, NO_CACHE];
+/// The suite shape of `bench-perf` and `bench-advise`.
+const SUITE: &[Field] = &[SCALE, K, PES];
+
+/// Parses `argv` for a command that reads `fields` plus its own `values`
+/// and `switches` flags.
+fn parse_args(
+    argv: &[String],
+    fields: &[Field],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Args, String> {
+    let mut values = values.to_vec();
+    let mut switches = switches.to_vec();
+    for f in fields {
+        match f.kind {
+            Kind::Switch => switches.push(f.flag),
+            _ => values.push(f.flag),
+        }
     }
+    Args::parse(argv, &values, &switches)
 }
 
-fn lookup_benchmark(name: &str) -> Result<Benchmark, String> {
-    Benchmark::ALL
-        .into_iter()
-        .find(|b| b.short_name().eq_ignore_ascii_case(name))
-        .ok_or(format!("unknown benchmark '{name}'"))
+/// The document `client` sends: `head` (the `cmd` and whatever else the
+/// command sets itself), then each of `fields` given on the command line
+/// in wire form. Only a number's syntax is checked here; the values are
+/// validated where the daemon validates them, in the request core.
+fn request_doc(
+    head: Vec<(&'static str, JsonValue)>,
+    fields: &[Field],
+    args: &Args,
+) -> Result<JsonValue, String> {
+    let mut doc = head;
+    for f in fields {
+        let value = match (f.kind, args.get(f.flag)) {
+            (Kind::Switch, _) => args.has(f.flag).then_some(JsonValue::from(true)),
+            (_, None) => None,
+            (Kind::Text, Some(v)) | (Kind::Panel, Some(v @ "all")) => Some(v.into()),
+            (Kind::Number | Kind::Panel, Some(v)) => Some(parse_flag_u64(f.flag, v)?.into()),
+        };
+        if let Some(value) = value {
+            doc.push((f.key, value));
+        }
+    }
+    Ok(JsonValue::object(doc))
 }
 
-fn parse_benchmark(args: &Args) -> Result<Benchmark, String> {
-    lookup_benchmark(args.get("benchmark").ok_or("--benchmark is required")?)
+/// A request document's head: its `cmd`.
+fn cmd(name: &'static str) -> Vec<(&'static str, JsonValue)> {
+    vec![("cmd", name.into())]
 }
 
-/// Whether machine-readable output was requested: `--format json|text`,
-/// with the legacy `--json` switch as an alias for `--format json`.
+/// Whether machine-readable output was requested: `--format json|text`.
 fn parse_format(args: &Args) -> Result<bool, String> {
     match args.get("format") {
-        None => Ok(args.has("json")),
+        None | Some("text") => Ok(false),
         Some("json") => Ok(true),
-        Some("text") => Ok(false),
         Some(other) => Err(format!("--format: unknown format '{other}' (json|text)")),
     }
 }
@@ -151,35 +252,14 @@ fn parse_telemetry(args: &Args) -> Result<Option<Cycle>, String> {
     }
 }
 
-/// Parses `--deadline-cycles <n>`: a hard ceiling on simulated cycles,
-/// riding the watchdog's `max_cycles` — a run past the deadline fails
-/// with a structured error instead of running forever.
-fn parse_deadline(args: &Args) -> Result<Option<Cycle>, String> {
-    match args.get("deadline-cycles") {
-        None => Ok(None),
-        Some(v) => {
-            let d: Cycle = v
-                .parse()
-                .map_err(|_| format!("--deadline-cycles: cannot parse '{v}'"))?;
-            if d == 0 {
-                return Err("--deadline-cycles: need at least one cycle".into());
-            }
-            Ok(Some(d))
-        }
-    }
-}
-
-fn parse_system(args: &Args) -> Result<SystemConfig, String> {
-    let pes: usize = args.get_parsed("pes", 56)?;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("--pes must be a positive multiple of 4".into());
-    }
-    Ok(SystemConfig::scaled(pes))
+fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| format!("--{name}: cannot parse '{v}'"))
 }
 
 fn info(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["scale"], &[])?;
-    let scale = parse_scale(&args)?;
+    let args = parse_args(argv, &[SCALE], &[], &[])?;
+    let scale = request::parse_scale(&request_doc(vec![], &[SCALE], &args)?)?;
     println!(
         "{:<6} {:<24} {:>8} {:>9} {:>8} {:>7}  RU",
         "name", "domain", "rows", "nnz", "avg-deg", "density"
@@ -201,286 +281,204 @@ fn info(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_plan(args: &Args, a: &Coo) -> Result<ExecutionPlan, String> {
-    let mut plan = ExecutionPlan::spmm_base(a).map_err(|e| e.to_string())?;
-    let mut rp = plan.tiling.row_panel_size;
-    let mut cp = plan.tiling.col_panel_size;
-    if let Some(v) = args.get("rp") {
-        rp = v.parse().map_err(|_| "--rp: bad number")?;
-    }
-    if let Some(v) = args.get("cp") {
-        cp = if v == "all" {
-            a.num_cols().max(1)
-        } else {
-            v.parse().map_err(|_| "--cp: bad number")?
+/// `run`, `search` and `trace`: the request `client` would send, parsed
+/// and executed in-process by the request core, with no cache and no
+/// default deadline. `trace` takes its benchmark positionally too
+/// (`spade-cli trace myc`) and writes the Chrome trace to a file, viewable
+/// at `ui.perfetto.dev`.
+fn local_job(argv: &[String], name: &'static str, fields: &[Field]) -> Result<(), String> {
+    let args = if name == "trace" {
+        // Appended, so a positional benchmark wins over a `--benchmark`.
+        let argv = match argv.split_first() {
+            Some((first, rest)) if !first.starts_with("--") => {
+                [rest, &["--benchmark".to_string(), first.clone()]].concat()
+            }
+            _ => argv.to_vec(),
         };
-    }
-    // Re-validate through the constructor so a zero panel size is a flag
-    // error here, not a failure inside the simulator.
-    plan.tiling = spade_matrix::TilingConfig::new(rp, cp).map_err(|e| e.to_string())?;
-    plan.r_policy = match args.get("rmatrix").unwrap_or("cache") {
-        "cache" => RMatrixPolicy::Cache,
-        "bypass" => RMatrixPolicy::Bypass,
-        "victim" => RMatrixPolicy::BypassVictim,
-        other => return Err(format!("--rmatrix: unknown policy '{other}'")),
-    };
-    plan.c_policy = CMatrixPolicy::Cache;
-    if args.has("barriers") {
-        plan.barriers = BarrierPolicy::per_column_panel();
-    }
-    Ok(plan)
-}
-
-struct RunSummary<'a> {
-    benchmark: &'a str,
-    kernel: String,
-    k: usize,
-    pes: usize,
-    plan: &'a ExecutionPlan,
-    report: &'a RunReport,
-    telemetry: Option<&'a TelemetrySeries>,
-}
-
-impl RunSummary<'_> {
-    /// The run as one JSON document (hand-rolled writer — the workspace is
-    /// dependency-free): context, plan, the full report, and the telemetry
-    /// series when sampling was on.
-    fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("benchmark", JsonValue::from(self.benchmark)),
-            ("kernel", self.kernel.as_str().into()),
-            ("k", self.k.into()),
-            ("pes", self.pes.into()),
-            ("plan", service::plan_json(self.plan)),
-            ("report", self.report.to_json()),
-            (
-                "sim_cycles_per_host_sec",
-                self.report.sim_cycles_per_host_sec().into(),
-            ),
-        ];
-        if let Some(series) = self.telemetry {
-            fields.push(("telemetry", series.to_json()));
-        }
-        JsonValue::object(fields)
-    }
-}
-
-/// Runs one validated simulation with optional observability, routing
-/// through the bench workload so the gold kernel is computed once and the
-/// run checks against the shared cached result.
-#[allow(clippy::too_many_arguments)]
-fn execute_observed(
-    system_config: &SystemConfig,
-    a: &Coo,
-    name: &str,
-    k: usize,
-    kernel: Primitive,
-    plan: &ExecutionPlan,
-    telemetry: Option<Cycle>,
-    trace: bool,
-    deadline: Option<Cycle>,
-) -> Result<JobOutput, String> {
-    let w = Workload::from_matrix(name.to_string(), a.clone(), k);
-    Job::new(
-        &Arc::new(w),
-        &Arc::new(system_config.clone()),
-        kernel,
-        *plan,
-    )
-    .with_telemetry(telemetry)
-    .with_trace(trace)
-    .with_deadline_cycles(deadline)
-    .try_execute_full()
-    .map_err(|e| e.to_string())
-}
-
-fn execute(
-    system_config: &SystemConfig,
-    a: &Coo,
-    name: &str,
-    k: usize,
-    kernel: Primitive,
-    plan: &ExecutionPlan,
-) -> Result<RunReport, String> {
-    execute_observed(system_config, a, name, k, kernel, plan, None, false, None).map(|o| o.report)
-}
-
-fn print_report(report: &RunReport, json: bool, ctx: RunSummary<'_>) -> Result<(), String> {
-    if json {
-        println!("{}", ctx.to_json().render());
+        parse_args(&argv, fields, &["out"], &[])?
     } else {
-        println!("cycles            : {}", report.cycles);
-        println!("time              : {:.1} µs", report.time_ns / 1e3);
-        println!("vOps              : {}", report.total_vops);
-        println!("DRAM accesses     : {}", report.dram_accesses);
-        println!("LLC accesses      : {}", report.llc_accesses);
-        println!("requests/cycle    : {:.2}", report.requests_per_cycle);
-        println!("DRAM bandwidth    : {:.1} GB/s", report.achieved_gbps);
-        println!(
-            "termination cost  : {:.2}%",
-            report.termination_fraction() * 100.0
-        );
-        println!(
-            "host wall clock   : {:.1} ms ({:.1} Mcycle/s simulated)",
-            report.host_wall_ns / 1e6,
-            report.sim_cycles_per_host_sec() / 1e6
-        );
-        if let Some(series) = ctx.telemetry {
-            println!(
-                "telemetry         : {} windows × {} cycles, mean {:.2} req/cycle, peak {:.2}",
-                series.samples.len(),
-                series.window,
-                series.mean_requests_per_cycle(),
-                series.peak_requests_per_cycle()
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Parses `--k`, rejecting values the simulator cannot run (K must fill
-/// whole cache lines) before any simulation work starts.
-fn parse_k(args: &Args) -> Result<usize, String> {
-    let k: usize = args.get_parsed("k", 32)?;
-    let line = spade_matrix::FLOATS_PER_LINE;
-    if k == 0 || !k.is_multiple_of(line) {
-        return Err(format!(
-            "--k: {k} is not a multiple of the cache line ({line} floats)"
-        ));
-    }
-    Ok(k)
-}
-
-fn parse_kernel(args: &Args) -> Result<Primitive, String> {
-    match args.get("kernel").unwrap_or("spmm") {
-        "spmm" => Ok(Primitive::Spmm),
-        "sddmm" => Ok(Primitive::Sddmm),
-        other => Err(format!("--kernel: unknown kernel '{other}'")),
-    }
-}
-
-fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[
-            "benchmark",
-            "kernel",
-            "k",
-            "pes",
-            "scale",
-            "rp",
-            "cp",
-            "rmatrix",
-            "format",
-            "telemetry",
-            "deadline-cycles",
-        ],
-        &["barriers", "json"],
-    )?;
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let kernel = parse_kernel(&args)?;
+        parse_args(argv, fields, &["format", "telemetry"], &[])?
+    };
     let json = parse_format(&args)?;
     let telemetry = parse_telemetry(&args)?;
-    let deadline = parse_deadline(&args)?;
-    let system_config = parse_system(&args)?;
-    let a = bench.generate(scale);
-    let plan = parse_plan(&args, &a)?;
-    let output = execute_observed(
-        &system_config,
-        &a,
-        bench.short_name(),
-        k,
-        kernel,
-        &plan,
-        telemetry,
-        false,
-        deadline,
-    )?;
-    print_report(
-        &output.report,
-        json,
-        RunSummary {
-            benchmark: bench.short_name(),
-            kernel: kernel.to_string(),
-            k,
-            pes: system_config.num_pes,
-            plan: &plan,
-            report: &output.report,
-            telemetry: output.telemetry.as_ref(),
-        },
-    )
+    let doc = request_doc(cmd(name), fields, &args)?;
+    let prepared = request::parse(&doc, None)?
+        .prepare(&mut Workloads::new())
+        .with_telemetry(telemetry);
+    print_local(&prepared, json, args.get("out"))
 }
 
-/// `spade-cli trace <benchmark>`: run one workload with event tracing on
-/// and write a Chrome `trace_event` JSON file, viewable at
-/// `ui.perfetto.dev` or `chrome://tracing`. Telemetry counter tracks
-/// (requests/cycle, DRAM GB/s, in-flight reads, active PEs) ride along on
-/// a dedicated lane unless `--window 0` turns sampling off.
-fn trace_cmd(argv: &[String]) -> Result<(), String> {
-    // The benchmark may be positional (`spade-cli trace myc`) or a
-    // `--benchmark` flag like the other subcommands.
-    let (positional, rest) = match argv.first() {
-        Some(first) if !first.starts_with("--") => (Some(first.as_str()), &argv[1..]),
-        _ => (None, argv),
-    };
-    let args = Args::parse(
-        rest,
-        &[
-            "benchmark",
-            "kernel",
-            "k",
-            "pes",
-            "scale",
-            "rp",
-            "cp",
-            "rmatrix",
-            "window",
-            "out",
-        ],
-        &["barriers"],
-    )?;
-    let bench = match positional {
-        Some(name) => lookup_benchmark(name)?,
-        None => parse_benchmark(&args)?,
-    };
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let kernel = parse_kernel(&args)?;
-    let system_config = parse_system(&args)?;
-    let window: Cycle = args.get_parsed("window", 256)?;
-    let telemetry = (window > 0).then_some(window);
-    let a = bench.generate(scale);
-    let plan = parse_plan(&args, &a)?;
-    let output = execute_observed(
-        &system_config,
-        &a,
-        bench.short_name(),
-        k,
-        kernel,
-        &plan,
-        telemetry,
-        true,
-        None,
-    )?;
-    // The shared builder keeps local traces byte-identical to the
-    // daemon's wire-served `trace` responses.
-    let (chrome, events) = service::trace_document(&output, system_config.num_pes)?;
-    let out_path = match args.get("out") {
-        Some(p) => p.to_string(),
-        None => format!(
-            "{}-{}.trace.json",
-            bench.short_name(),
-            kernel.to_string().to_lowercase()
-        ),
-    };
-    std::fs::write(&out_path, &chrome).map_err(|e| format!("{out_path}: {e}"))?;
+/// Executes `prepared` on the environment's runner (`SPADE_THREADS`) and
+/// prints the result bytes with `--format json`, otherwise the text its
+/// `client` twin prints, plus the host wall clock.
+fn print_local(prepared: &Prepared, json: bool, out: Option<&str>) -> Result<(), String> {
+    let started = Instant::now();
+    let executed = prepared
+        .execute(&ParallelRunner::from_env())
+        .map_err(|e| e.to_string())?;
+    let host_s = started.elapsed().as_secs_f64();
+    if json {
+        println!("{}", executed.render());
+        return Ok(());
+    }
+    match prepared {
+        Prepared::Run(_) => print_run(&executed.doc, None),
+        Prepared::Search(_) => print_search(&executed.doc, None),
+        Prepared::Trace { .. } => {
+            let chrome = executed.trace.as_deref().unwrap_or_default();
+            return write_trace(&executed.doc, chrome, out, None);
+        }
+    }
+    let cycles: u64 = executed.cycles.iter().sum();
     println!(
-        "wrote {out_path}: {events} events over {} cycles (load in ui.perfetto.dev)",
-        output.report.cycles
+        "host wall clock   : {:.1} ms ({:.1} Mcycle/s simulated)",
+        host_s * 1e3,
+        cycles as f64 / host_s.max(1e-9) / 1e6
     );
     Ok(())
+}
+
+/// ` (note)`, or nothing.
+fn paren(note: Option<&str>) -> String {
+    note.map(|n| format!(" ({n})")).unwrap_or_default()
+}
+
+/// A `run` result as text, for `run`, `mm` and `client run`.
+fn print_run(result: &JsonValue, note: Option<&str>) {
+    let report = result.get("report").unwrap_or(&JsonValue::Null);
+    let cycles = ju(report, "cycles");
+    println!(
+        "{} {} k={} pes={}{}",
+        js(result, "benchmark"),
+        js(result, "kernel"),
+        ju(result, "k"),
+        ju(result, "pes"),
+        paren(note)
+    );
+    println!("cycles            : {cycles}");
+    println!("time              : {:.1} µs", jf(report, "time_ns") / 1e3);
+    println!("vOps              : {}", ju(report, "total_vops"));
+    println!("DRAM accesses     : {}", ju(report, "dram_accesses"));
+    println!("LLC accesses      : {}", ju(report, "llc_accesses"));
+    println!(
+        "requests/cycle    : {:.2}",
+        jf(report, "requests_per_cycle")
+    );
+    println!(
+        "DRAM bandwidth    : {:.1} GB/s",
+        jf(report, "achieved_gbps")
+    );
+    println!(
+        "termination cost  : {:.2}%",
+        ju(report, "termination_cycles") as f64 / cycles.max(1) as f64 * 100.0
+    );
+    if let Some(series) = result.get("telemetry") {
+        let samples = series.get("samples").and_then(JsonValue::as_array);
+        let samples = samples.unwrap_or_default();
+        let covered: u64 = samples.iter().map(|s| ju(s, "len")).sum();
+        let requests: u64 = samples.iter().map(|s| ju(s, "requests")).sum();
+        println!(
+            "telemetry         : {} windows × {} cycles, mean {:.2} req/cycle, peak {:.2}",
+            samples.len(),
+            ju(series, "window"),
+            requests as f64 / covered.max(1) as f64,
+            peak_requests_per_cycle(series)
+        );
+    }
+}
+
+fn peak_requests_per_cycle(series: &JsonValue) -> f64 {
+    let samples = series.get("samples").and_then(JsonValue::as_array);
+    samples
+        .unwrap_or_default()
+        .iter()
+        .map(|s| jf(s, "requests_per_cycle"))
+        .fold(0.0, f64::max)
+}
+
+/// A `search` result as text, best five first, for `search` and
+/// `client search`.
+fn print_search(result: &JsonValue, note: Option<&str>) {
+    let candidates = result.get("candidates").and_then(JsonValue::as_array);
+    let candidates = candidates.unwrap_or_default();
+    println!(
+        "{} k={} pes={}: {} plans, {} failures{}; best first:",
+        js(result, "benchmark"),
+        ju(result, "k"),
+        ju(result, "pes"),
+        candidates.len(),
+        ju(result, "failures"),
+        paren(note)
+    );
+    for c in candidates.iter().take(5) {
+        let plan = c.get("plan").unwrap_or(&JsonValue::Null);
+        let peak = match c.get("telemetry") {
+            Some(series) => format!("  peak {:.2} req/cyc", peak_requests_per_cycle(series)),
+            None => String::new(),
+        };
+        println!(
+            "  {:>10} cycles  RP={:<6} CP={:<8} {} barriers={}{peak}",
+            ju(c, "cycles"),
+            ju(plan, "row_panel_size"),
+            ju(plan, "col_panel_size"),
+            js(plan, "r_policy"),
+            jb(plan, "barriers")
+        );
+    }
+}
+
+/// Writes a `trace` result's Chrome JSON to `out` (default
+/// `<benchmark>-<kernel>.trace.json`) and says so, for `trace` and
+/// `client trace`.
+fn write_trace(
+    result: &JsonValue,
+    chrome: &str,
+    out: Option<&str>,
+    note: Option<&str>,
+) -> Result<(), String> {
+    let path = out.map_or_else(
+        || {
+            format!(
+                "{}-{}.trace.json",
+                js(result, "benchmark"),
+                js(result, "kernel").to_lowercase()
+            )
+        },
+        str::to_string,
+    );
+    std::fs::write(&path, chrome).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "wrote {path}: {} events over {} cycles ({}load in ui.perfetto.dev)",
+        ju(result, "events"),
+        result.get("report").map_or(0, |r| ju(r, "cycles")),
+        note.map(|n| format!("{n}, ")).unwrap_or_default()
+    );
+    Ok(())
+}
+
+/// An `advise` result as text, for `advise` and `client advise`.
+fn print_advice(result: &JsonValue) {
+    let plan = result.get("plan").unwrap_or(&JsonValue::Null);
+    let note = match (
+        result.get("predicted_cycles").and_then(JsonValue::as_f64),
+        result.get("measured_cycles").and_then(JsonValue::as_u64),
+    ) {
+        (Some(p), _) => format!(", predicted {p:.0} cycles"),
+        (_, Some(c)) => format!(", measured {c} cycles"),
+        _ => String::new(),
+    };
+    println!(
+        "{} k={} pes={}: RP={} CP={} rMatrix={} barriers={} ({} tier, {} \u{3bc}s{note})",
+        js(result, "benchmark"),
+        ju(result, "k"),
+        ju(result, "pes"),
+        ju(plan, "row_panel_size"),
+        ju(plan, "col_panel_size"),
+        js(plan, "r_policy"),
+        jb(plan, "barriers"),
+        js(result, "source"),
+        ju(result, "latency_us"),
+    );
 }
 
 /// Loads the `--model` file when given. A file that fails to load or
@@ -498,247 +496,56 @@ fn load_model_flag(args: &Args) -> Option<CostModel> {
 }
 
 /// `spade-cli advise`: three-tier plan selection. The default (`--fast`)
-/// path never simulates — a trained `--model` (when it loads and is
-/// confident) ranks the candidate plans in microseconds, the structural
-/// heuristic answers otherwise. `--exact` is the demoted verification
-/// path: candidates are *simulated* (model-pruned to `--top-n` unless
-/// `--exhaustive`) and the measured optimum is reported as the
-/// `exhaustive` tier.
+/// path is the daemon's `advise` request and never simulates — a trained
+/// `--model` (when it loads and is confident) ranks the candidate plans
+/// in microseconds, the structural heuristic answers otherwise. `--exact`
+/// is the demoted verification path: candidates are *simulated*
+/// (model-pruned to `--top-n` unless `--exhaustive`) and the measured
+/// optimum is reported as the `exhaustive` tier.
 fn advise_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = parse_args(
         argv,
-        &["benchmark", "k", "pes", "scale", "model", "top-n", "format"],
-        &["fast", "exact", "exhaustive", "json"],
+        ADVISE,
+        &["model", "top-n", "format"],
+        &["fast", "exact", "exhaustive"],
     )?;
     if args.has("fast") && args.has("exact") {
         return Err("--fast and --exact are mutually exclusive".into());
     }
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
     let json = parse_format(&args)?;
-    let system_config = parse_system(&args)?;
+    let target = request::parse_target(&request_doc(cmd("advise"), ADVISE, &args)?)?;
     let top_n: usize = args.get_parsed("top-n", spade_bench::runner::PRUNE_TOP_N)?;
-    let a = bench.generate(scale);
-    let stats = MatrixStats::compute(&a);
     let model = load_model_flag(&args);
-    let started = Instant::now();
-    let (plan, source, predicted, measured) = if args.has("exact") {
-        let w = Workload::from_matrix(bench.short_name().to_string(), a.clone(), k);
-        let ranker = if args.has("exhaustive") {
-            None
-        } else {
-            model.as_ref().map(|m| m as &dyn PlanRanker)
-        };
-        let (plan, report) = spade_bench::runner::find_opt_pruned(
-            &system_config,
-            &w,
-            Primitive::Spmm,
-            true,
-            ranker,
-            top_n,
-        );
-        (plan, "exhaustive", None, Some(report.cycles))
+    let ranker = model.as_ref().map(|m| m as &dyn PlanRanker);
+    let advised = if args.has("exact") {
+        Advised::exact(&target, ranker.filter(|_| !args.has("exhaustive")), top_n)
     } else {
-        let ranker = model.as_ref().map(|m| m as &dyn PlanRanker);
-        let advice =
-            advisor::advise_tiered(&a, k, &system_config, ranker).map_err(|e| e.to_string())?;
-        (
-            advice.plan,
-            advice.source.as_str(),
-            advice.predicted_cycles,
-            None,
-        )
+        request::advise(&target, ranker)?
     };
-    let latency_us = started.elapsed().as_secs_f64() * 1e6;
+    let result = advised.to_json(&target);
     if json {
-        let features = MatrixFeatures::from_stats(&a, &stats);
-        let mut fields = vec![
-            ("benchmark", JsonValue::from(bench.short_name())),
-            ("scale", format!("{scale:?}").to_lowercase().into()),
-            ("k", k.into()),
-            ("pes", system_config.num_pes.into()),
-            ("source", source.into()),
-            ("latency_us", latency_us.into()),
-            ("plan", service::plan_json(&plan)),
-            (
-                "features",
-                JsonValue::object(features.to_pairs().into_iter().map(|(n, v)| (n, v.into()))),
-            ),
-        ];
-        if let Some(p) = predicted {
-            fields.push(("predicted_cycles", p.into()));
-        }
-        if let Some(c) = measured {
-            fields.push(("measured_cycles", c.into()));
-        }
-        println!("{}", JsonValue::object(fields).render());
-        return Ok(());
-    }
-    println!(
-        "{}: {} rows, {} nnz, RU={}",
-        bench.short_name(),
-        a.num_rows(),
-        a.nnz(),
-        stats.classify_ru()
-    );
-    println!(
-        "advised: RP={} CP={} rMatrix={:?} cMatrix={:?} barriers={}",
-        plan.tiling.row_panel_size,
-        plan.tiling.col_panel_size,
-        plan.r_policy,
-        plan.c_policy,
-        plan.barriers.is_enabled()
-    );
-    let note = match (predicted, measured) {
-        (Some(p), _) => format!(", predicted {p:.0} cycles"),
-        (_, Some(c)) => format!(", measured {c} cycles"),
-        _ => String::new(),
-    };
-    println!("source: {source} ({latency_us:.0} \u{3bc}s{note})");
-    Ok(())
-}
-
-fn search(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[
-            "benchmark",
-            "k",
-            "pes",
-            "scale",
-            "format",
-            "telemetry",
-            "deadline-cycles",
-        ],
-        &["full", "json"],
-    )?;
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let json = parse_format(&args)?;
-    let telemetry = parse_telemetry(&args)?;
-    let deadline = parse_deadline(&args)?;
-    let system_config = parse_system(&args)?;
-    let a = bench.generate(scale);
-    let space = if args.has("full") {
-        PlanSearchSpace::table3(k)
+        println!("{}", result.render());
     } else {
-        PlanSearchSpace::quick(k)
-    };
-    // Fan the candidate sweep across host cores (SPADE_THREADS overrides).
-    let workload = Arc::new(Workload::from_matrix(
-        bench.short_name().to_string(),
-        a.clone(),
-        k,
-    ));
-    let pes = system_config.num_pes;
-    let config = Arc::new(system_config);
-    let plans = space.enumerate(&a);
-    let jobs: Vec<Job> = plans
-        .iter()
-        .map(|&plan| {
-            Job::new(&workload, &config, Primitive::Spmm, plan)
-                .with_telemetry(telemetry)
-                .with_deadline_cycles(deadline)
-        })
-        .collect();
-    let start = Instant::now();
-    // One failing candidate should cost its own slot, not the sweep.
-    let outcomes = ParallelRunner::from_env().run_outputs(&jobs);
-    let reports: Vec<RunReport> = outcomes
-        .iter()
-        .flatten()
-        .map(|o| o.report.clone())
-        .collect();
-    if !json {
-        println!(
-            "{}",
-            parallel::throughput_summary(&reports, start.elapsed())
-        );
-    }
-    let mut failures = 0usize;
-    let mut results: Vec<(ExecutionPlan, JobOutput)> = Vec::with_capacity(plans.len());
-    for (plan, outcome) in plans.into_iter().zip(&outcomes) {
-        match outcome {
-            Ok(o) => results.push((plan, o.clone())),
-            Err(e) => {
-                failures += 1;
-                eprintln!("warning: candidate plan failed: {e}");
-            }
-        }
-    }
-    if results.is_empty() {
-        return Err(format!("all {failures} candidate plans failed"));
-    }
-    results.sort_by_key(|(_, o)| o.report.cycles);
-    if json {
-        let candidates: Vec<JsonValue> = results
-            .iter()
-            .map(|(plan, o)| {
-                let mut fields = vec![
-                    ("plan", service::plan_json(plan)),
-                    ("cycles", o.report.cycles.into()),
-                    ("dram_accesses", o.report.dram_accesses.into()),
-                    ("requests_per_cycle", o.report.requests_per_cycle.into()),
-                ];
-                if let Some(series) = &o.telemetry {
-                    fields.push(("telemetry", series.to_json()));
-                }
-                JsonValue::object(fields)
-            })
-            .collect();
-        let doc = JsonValue::object([
-            ("benchmark", bench.short_name().into()),
-            ("k", k.into()),
-            ("pes", pes.into()),
-            ("failures", failures.into()),
-            ("candidates", JsonValue::Array(candidates)),
-        ]);
-        println!("{}", doc.render());
-        return Ok(());
-    }
-    println!("{} plans searched; best first:", results.len());
-    for (plan, output) in results.iter().take(5) {
-        let telemetry_note = match &output.telemetry {
-            Some(series) => format!("  peak {:.2} req/cyc", series.peak_requests_per_cycle()),
-            None => String::new(),
-        };
-        println!(
-            "  {:>10} cycles  RP={:<6} CP={:<8} {:?} barriers={}{}",
-            output.report.cycles,
-            plan.tiling.row_panel_size,
-            plan.tiling.col_panel_size,
-            plan.r_policy,
-            plan.barriers.is_enabled(),
-            telemetry_note
-        );
+        print_advice(&result);
     }
     Ok(())
 }
 
+/// `spade-cli mm`: the advised plan on a MatrixMarket file, executed and
+/// rendered like a `run` whose benchmark is the file.
 fn run_mm(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["file", "k", "pes", "format"], &["json"])?;
+    let args = parse_args(argv, &[K, PES], &["file", "format"], &[])?;
+    let json = parse_format(&args)?;
+    let doc = request_doc(vec![], &[K, PES], &args)?;
+    let (k, pes) = (request::parse_k(&doc)?, request::parse_pes(&doc)?);
     let path = args.get("file").ok_or("--file is required")?;
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let a = mm::read_matrix_market(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let k = parse_k(&args)?;
-    let system_config = parse_system(&args)?;
-    let plan = advisor::advise(&a, k, &system_config).map_err(|e| e.to_string())?;
-    let report = execute(&system_config, &a, path, k, Primitive::Spmm, &plan)?;
-    print_report(
-        &report,
-        parse_format(&args)?,
-        RunSummary {
-            benchmark: path,
-            kernel: Primitive::Spmm.to_string(),
-            k,
-            pes: system_config.num_pes,
-            plan: &plan,
-            report: &report,
-            telemetry: None,
-        },
-    )
+    let config = SystemConfig::scaled(pes);
+    let plan = advisor::advise(&a, k, &config).map_err(|e| e.to_string())?;
+    let workload = Arc::new(Workload::from_matrix(path, a, k));
+    let job = Job::new(&workload, &Arc::new(config), Primitive::Spmm, plan);
+    print_local(&Prepared::Run(Box::new(job)), json, None)
 }
 
 /// `spade-cli serve`: the always-on experiment daemon — newline-delimited
@@ -747,15 +554,15 @@ fn run_mm(argv: &[String]) -> Result<(), String> {
 /// SIGTERM/ctrl-c (or an in-band `shutdown` request) drains in-flight
 /// jobs, flushes the cache index and exits 0.
 fn serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = parse_args(
         argv,
+        &[DEADLINE],
         &[
             "addr",
             "cache-dir",
             "workers",
             "queue",
             "max-connections",
-            "deadline-cycles",
             "read-timeout-ms",
             "model",
         ],
@@ -766,9 +573,10 @@ fn serve(argv: &[String]) -> Result<(), String> {
     config.workers = args.get_parsed("workers", config.workers)?;
     config.queue_capacity = args.get_parsed("queue", config.queue_capacity)?;
     config.max_connections = args.get_parsed("max-connections", config.max_connections)?;
-    if let Some(d) = parse_deadline(&args)? {
-        config.default_deadline_cycles = Some(d);
-    }
+    config.default_deadline_cycles = request::parse_deadline(
+        &request_doc(vec![], &[DEADLINE], &args)?,
+        config.default_deadline_cycles,
+    )?;
     let timeout_ms: u64 =
         args.get_parsed("read-timeout-ms", config.read_timeout.as_millis() as u64)?;
     config.read_timeout = std::time::Duration::from_millis(timeout_ms.max(1));
@@ -810,10 +618,11 @@ fn serve(argv: &[String]) -> Result<(), String> {
 /// Two modes share one wire protocol: raw (`--request '<json>'` sends
 /// the line verbatim) and typed subcommands (`ping`, `status`,
 /// `metrics`, `query`, `batch`, `agg`, `best-plans`, `run`, `search`,
-/// `trace`, `shutdown`) that build the request from flags. Every subcommand honours `--format
-/// json|text`: `json` prints the daemon's response line untouched,
-/// `text` a human rendering. A protocol-level failure prints the raw
-/// response and exits non-zero either way.
+/// `trace`, `advise`, `shutdown`) that build the request from flags.
+/// Every subcommand honours `--format json|text`: `json` prints the
+/// daemon's response line untouched, `text` a human rendering. A
+/// protocol-level failure prints the raw response and exits non-zero
+/// either way.
 fn client(argv: &[String]) -> Result<(), String> {
     let (sub, rest) = match argv.first() {
         Some(first) if !first.starts_with("--") => (Some(first.as_str()), &argv[1..]),
@@ -829,10 +638,10 @@ fn client(argv: &[String]) -> Result<(), String> {
         Some("batch") => client_batch(rest),
         Some("agg") => client_agg(rest, None),
         Some("best-plans") => client_agg(rest, Some("benchmark")),
-        Some("run") => client_job(rest, "run"),
-        Some("search") => client_job(rest, "search"),
-        Some("trace") => client_trace(rest),
-        Some("advise") => client_advise(rest),
+        Some("run") => client_job(rest, "run", RUN),
+        Some("search") => client_job(rest, "search", SEARCH),
+        Some("trace") => client_job(rest, "trace", TRACE),
+        Some("advise") => client_job(rest, "advise", ADVISE),
         Some(other) => Err(format!("client: unknown subcommand '{other}'")),
     }
 }
@@ -851,16 +660,16 @@ fn client_connect(
     Ok((addr, client))
 }
 
-/// Sends one request and returns `(raw line, parsed doc)`. A
-/// `"ok":false` reply is printed raw and converted into the silent
-/// error (empty message) that makes `main` exit non-zero without the
-/// usage dump — scripts branch on the exit code, the line is the
-/// report.
+/// Connects, sends one request and returns `(raw line, parsed doc)`. A
+/// `"ok":false` reply is printed raw and converted into the silent error
+/// (empty message) that makes `main` exit non-zero without the usage
+/// dump — scripts branch on the exit code, the line is the report.
 fn client_roundtrip(
-    client: &mut service::ServiceClient,
-    addr: &std::net::SocketAddr,
+    args: &Args,
+    max_frame: usize,
     request: &str,
 ) -> Result<(String, JsonValue), String> {
+    let (addr, mut client) = client_connect(args, max_frame)?;
     let response = client
         .request_line(request)
         .map_err(|e| format!("{addr}: {e}"))?;
@@ -879,9 +688,19 @@ fn ju(doc: &JsonValue, key: &str) -> u64 {
     doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
 }
 
-fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|_| format!("--{name}: cannot parse '{v}'"))
+/// An `f64` response field, defaulting to 0 — display only.
+fn jf(doc: &JsonValue, key: &str) -> f64 {
+    doc.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0)
+}
+
+/// A string response field, `?` when absent — display only.
+fn js<'a>(doc: &'a JsonValue, key: &str) -> &'a str {
+    doc.get(key).and_then(JsonValue::as_str).unwrap_or("?")
+}
+
+/// A boolean response field, `false` when absent — display only.
+fn jb(doc: &JsonValue, key: &str) -> bool {
+    doc.get(key).and_then(JsonValue::as_bool).unwrap_or(false)
 }
 
 /// Raw mode: `--request '<json>'`. The request is one JSON document on
@@ -894,22 +713,21 @@ fn client_raw(argv: &[String]) -> Result<(), String> {
         .get("request")
         .ok_or("--request is required")?
         .replace(['\n', '\r'], " ");
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, _doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let (response, _doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request)?;
     println!("{response}");
     Ok(())
 }
 
 /// `client ping` / `client shutdown`: one command word, no payload.
-fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
-    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
+fn client_simple(argv: &[String], name: &'static str) -> Result<(), String> {
+    let args = Args::parse(argv, &["addr", "format"], &[])?;
     let json = parse_format(&args)?;
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let request = JsonValue::object([("cmd", cmd.into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let request = JsonValue::object(cmd(name)).render();
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request)?;
+    let addr = args.get("addr").unwrap_or("?");
     if json {
         println!("{response}");
-    } else if cmd == "ping" {
+    } else if name == "ping" {
         println!("{addr}: ok (protocol {})", ju(&doc, "protocol"));
     } else {
         println!("{addr}: draining");
@@ -920,20 +738,20 @@ fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
 /// `client status`: the daemon's live state as a human table (or the
 /// raw response with `--format json`).
 fn client_status(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
+    let args = Args::parse(argv, &["addr", "format"], &[])?;
     let json = parse_format(&args)?;
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let request = JsonValue::object([("cmd", "status".into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let request = JsonValue::object(cmd("status")).render();
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request)?;
     if json {
         println!("{response}");
         return Ok(());
     }
     println!(
-        "daemon {addr}  protocol {}  uptime {} ms{}",
+        "daemon {}  protocol {}  uptime {} ms{}",
+        args.get("addr").unwrap_or("?"),
         ju(&doc, "protocol"),
         ju(&doc, "uptime_ms"),
-        if doc.get("shutting_down").and_then(JsonValue::as_bool) == Some(true) {
+        if jb(&doc, "shutting_down") {
             "  (draining)"
         } else {
             ""
@@ -973,19 +791,17 @@ fn client_status(argv: &[String]) -> Result<(), String> {
 /// snapshot — no HTTP endpoint anywhere), `--format json` the raw
 /// response, text a compact value listing.
 fn client_metrics(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["addr", "format"], &["json", "prom"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["prom"])?;
     let json = parse_format(&args)?;
-    let prom = args.has("prom");
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let request = JsonValue::object([("cmd", "metrics".into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let request = JsonValue::object(cmd("metrics")).render();
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request)?;
     if json {
         println!("{response}");
         return Ok(());
     }
     let result = doc.get("result").ok_or("metrics response has no result")?;
     let snapshot = spade_bench::metrics::MetricsSnapshot::from_json(result)?;
-    if prom {
+    if args.has("prom") {
         print!("{}", snapshot.to_prometheus());
         return Ok(());
     }
@@ -1015,55 +831,27 @@ fn client_metrics(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The filter flags of `client query`, `agg` and `best-plans`.
-const QUERY_FILTERS: &[&str] = &[
-    "benchmark",
-    "kernel",
-    "kind",
-    "k",
-    "pes",
-    "min-cycles",
-    "max-cycles",
-    "limit",
-];
-
-/// Adds the [`QUERY_FILTERS`] given on the command line to a query
-/// request.
-fn push_query_filters(args: &Args, fields: &mut Vec<(&str, JsonValue)>) -> Result<(), String> {
-    for key in ["benchmark", "kernel", "kind"] {
-        if let Some(v) = args.get(key) {
-            fields.push((key, v.into()));
-        }
+/// A catalog row's plan, compactly: `rp=… cp=…`, ` b` with barriers.
+fn plan_note(plan: Option<&JsonValue>) -> String {
+    match plan {
+        None | Some(JsonValue::Null) => "-".to_string(),
+        Some(p) => format!(
+            "rp={} cp={}{}",
+            ju(p, "row_panel_size"),
+            ju(p, "col_panel_size"),
+            if jb(p, "barriers") { " b" } else { "" }
+        ),
     }
-    for (flag, key) in [
-        ("k", "k"),
-        ("pes", "pes"),
-        ("min-cycles", "min_cycles"),
-        ("max-cycles", "max_cycles"),
-        ("limit", "limit"),
-    ] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    Ok(())
 }
 
 /// `client query`: filter the daemon's cache dataset. Every filter flag
 /// is optional; matches come back sorted by (benchmark, kernel,
 /// cycles), so the first row per benchmark is its best plan.
 fn client_query(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[&["addr", "format"], QUERY_FILTERS].concat(),
-        &["json"],
-    )?;
+    let args = parse_args(argv, QUERY, &["addr", "format"], &[])?;
     let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "query".into())];
-    push_query_filters(&args, &mut fields)?;
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
+    let request = request_doc(cmd("query"), QUERY, &args)?;
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request.render())?;
     if json {
         println!("{response}");
         return Ok(());
@@ -1087,32 +875,17 @@ fn client_query(argv: &[String]) -> Result<(), String> {
         "kind", "bench", "kernel", "k", "pes", "cycles", "dram", "plan"
     );
     for e in entries {
-        let plan = match e.get("plan") {
-            None | Some(JsonValue::Null) => "-".to_string(),
-            Some(p) => format!(
-                "rp={} cp={}{}",
-                ju(p, "row_panel_size"),
-                ju(p, "col_panel_size"),
-                if p.get("barriers").and_then(JsonValue::as_bool) == Some(true) {
-                    " b"
-                } else {
-                    ""
-                }
-            ),
-        };
         println!(
             "{:<7} {:<6} {:<6} {:>5} {:>5} {:>12} {:>10}  {:<18} {}",
-            e.get("kind").and_then(JsonValue::as_str).unwrap_or("?"),
-            e.get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            e.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
+            js(e, "kind"),
+            js(e, "benchmark"),
+            js(e, "kernel"),
             ju(e, "k"),
             ju(e, "pes"),
             ju(e, "cycles"),
             ju(e, "dram_accesses"),
-            plan,
-            e.get("key").and_then(JsonValue::as_str).unwrap_or("?")
+            plan_note(e.get("plan")),
+            js(e, "key")
         );
     }
     Ok(())
@@ -1146,86 +919,39 @@ fn comma_list_u64(name: &str, v: &str) -> Result<Vec<JsonValue>, String> {
 /// fans the jobs out through its admission queue and replies once, with
 /// per-job payloads in job order.
 fn client_batch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = parse_args(
         argv,
-        &[
-            "addr",
-            "format",
-            "benchmarks",
-            "kernels",
-            "k",
-            "pes",
-            "rp",
-            "cp",
-            "rmatrix",
-            "scale",
-            "deadline-cycles",
-        ],
-        &["json", "barriers", "no-cache"],
+        BATCH,
+        &["addr", "format", "benchmarks", "kernels", "k", "pes"],
+        &[],
     )?;
     let json = parse_format(&args)?;
-    let mut sweep: Vec<(&str, JsonValue)> = Vec::new();
-    let benchmarks = comma_list(
+    let benchmarks = args.get("benchmarks").ok_or("--benchmarks is required")?;
+    let mut sweep: Vec<(&str, JsonValue)> = vec![(
         "benchmarks",
-        args.get("benchmarks").ok_or("--benchmarks is required")?,
-    )?;
-    sweep.push((
-        "benchmarks",
-        JsonValue::Array(benchmarks.iter().map(|b| b.as_str().into()).collect()),
-    ));
+        JsonValue::Array(
+            comma_list("benchmarks", benchmarks)?
+                .into_iter()
+                .map(JsonValue::from)
+                .collect(),
+        ),
+    )];
     if let Some(v) = args.get("kernels") {
+        let kernels = comma_list("kernels", v)?;
         sweep.push((
             "kernels",
-            JsonValue::Array(
-                comma_list("kernels", v)?
-                    .iter()
-                    .map(|k| k.as_str().into())
-                    .collect(),
-            ),
+            JsonValue::Array(kernels.into_iter().map(JsonValue::from).collect()),
         ));
     }
-    for (flag, key) in [("k", "k"), ("pes", "pes")] {
+    for flag in ["k", "pes"] {
         if let Some(v) = args.get(flag) {
-            sweep.push((key, JsonValue::Array(comma_list_u64(flag, v)?)));
+            sweep.push((flag, JsonValue::Array(comma_list_u64(flag, v)?)));
         }
     }
-    let mut plan: Vec<(&str, JsonValue)> = Vec::new();
-    if let Some(v) = args.get("rp") {
-        plan.push(("rp", parse_flag_u64("rp", v)?.into()));
-    }
-    if let Some(v) = args.get("cp") {
-        if v == "all" {
-            plan.push(("cp", "all".into()));
-        } else {
-            plan.push(("cp", parse_flag_u64("cp", v)?.into()));
-        }
-    }
-    if let Some(v) = args.get("rmatrix") {
-        plan.push(("rmatrix", v.into()));
-    }
-    if args.has("barriers") {
-        plan.push(("barriers", true.into()));
-    }
-    if !plan.is_empty() {
-        sweep.push(("plans", JsonValue::Array(vec![JsonValue::object(plan)])));
-    }
-    let mut fields: Vec<(&str, JsonValue)> =
-        vec![("cmd", "batch".into()), ("sweep", JsonValue::object(sweep))];
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    if let Some(v) = args.get("deadline-cycles") {
-        fields.push((
-            "deadline_cycles",
-            parse_flag_u64("deadline-cycles", v)?.into(),
-        ));
-    }
-    if args.has("no-cache") {
-        fields.push(("no_cache", true.into()));
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
+    let mut head = cmd("batch");
+    head.push(("sweep", JsonValue::object(sweep)));
+    let request = request_doc(head, BATCH, &args)?;
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request.render())?;
     if json {
         println!("{response}");
         return Ok(());
@@ -1245,37 +971,25 @@ fn client_batch(argv: &[String]) -> Result<(), String> {
         .ok_or("batch response has no jobs")?;
     for job in jobs {
         let index = ju(job, "index");
-        if job.get("ok").and_then(JsonValue::as_bool) == Some(true) {
+        if jb(job, "ok") {
             let r = job.get("result").ok_or("batch job has no result")?;
             let report = r.get("report").ok_or("batch job has no report")?;
-            let cached = if job.get("cached").and_then(JsonValue::as_bool) == Some(true) {
-                " (cached)"
-            } else {
-                ""
-            };
+            let cached = if jb(job, "cached") { " (cached)" } else { "" };
             println!(
                 "  [{index}] {} {} k={} pes={}: {} cycles, {} DRAM accesses{cached}",
-                r.get("benchmark")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?"),
-                r.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
+                js(r, "benchmark"),
+                js(r, "kernel"),
                 ju(r, "k"),
                 ju(r, "pes"),
                 ju(report, "cycles"),
                 ju(report, "dram_accesses")
             );
         } else {
-            let error = job.get("error");
+            let error = job.get("error").unwrap_or(&JsonValue::Null);
             println!(
                 "  [{index}] error {}: {}",
-                error
-                    .and_then(|e| e.get("kind"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?"),
-                error
-                    .and_then(|e| e.get("message"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
+                js(error, "kind"),
+                js(error, "message")
             );
         }
     }
@@ -1291,27 +1005,21 @@ fn client_batch(argv: &[String]) -> Result<(), String> {
 /// cache dataset. `agg` requires `--group-by benchmark|kernel|pes`;
 /// `best-plans` is the preset `--group-by benchmark --kind run`, the
 /// best-plan-per-matrix fold EXPERIMENTS.md used to script client-side.
-fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[&["addr", "format", "group-by"], QUERY_FILTERS].concat(),
-        &["json"],
-    )?;
+fn client_agg(argv: &[String], preset_group_by: Option<&'static str>) -> Result<(), String> {
+    let args = parse_args(argv, QUERY, &["addr", "format", "group-by"], &[])?;
     let json = parse_format(&args)?;
     let group_by = match (args.get("group-by"), preset_group_by) {
         (Some(v), _) => v,
         (None, Some(preset)) => preset,
         (None, None) => return Err("--group-by is required (benchmark|kernel|pes)".into()),
     };
-    let mut fields: Vec<(&str, JsonValue)> =
-        vec![("cmd", "query".into()), ("group_by", group_by.into())];
-    push_query_filters(&args, &mut fields)?;
+    let mut head = cmd("query");
+    head.push(("group_by", group_by.into()));
     if preset_group_by.is_some() && args.get("kind").is_none() {
-        fields.push(("kind", "run".into()));
+        head.push(("kind", "run".into()));
     }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
+    let request = request_doc(head, QUERY, &args)?;
+    let (response, doc) = client_roundtrip(&args, MAX_FRAME_BYTES, &request.render())?;
     if json {
         println!("{response}");
         return Ok(());
@@ -1319,10 +1027,7 @@ fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), Stri
     let result = doc.get("result").ok_or("agg response has no result")?;
     println!(
         "group_by {}: {} groups over {} matched of {} cached entries",
-        result
-            .get("group_by")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
+        js(result, "group_by"),
         ju(result, "returned"),
         ju(result, "matched"),
         ju(result, "total")
@@ -1339,295 +1044,84 @@ fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), Stri
         "group", "n", "min", "max", "mean", "best plan"
     );
     for g in groups {
-        let best = g.get("best");
-        let plan = match best.and_then(|b| b.get("plan")) {
-            None | Some(JsonValue::Null) => "-".to_string(),
-            Some(p) => format!(
-                "rp={} cp={}{}",
-                ju(p, "row_panel_size"),
-                ju(p, "col_panel_size"),
-                if p.get("barriers").and_then(JsonValue::as_bool) == Some(true) {
-                    " b"
-                } else {
-                    ""
-                }
-            ),
-        };
-        let mean = g
-            .get("mean_cycles")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
+        let best = g.get("best").unwrap_or(&JsonValue::Null);
         println!(
             "{:<10} {:>5} {:>12} {:>12} {:>14.1}  {:<18} {}",
-            g.get("group").and_then(JsonValue::as_str).unwrap_or("?"),
+            js(g, "group"),
             ju(g, "count"),
             ju(g, "min_cycles"),
             ju(g, "max_cycles"),
-            mean,
-            plan,
-            best.and_then(|b| b.get("key"))
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?")
+            jf(g, "mean_cycles"),
+            plan_note(best.get("plan")),
+            js(best, "key")
         );
     }
     Ok(())
 }
 
-/// The value flags [`wire_job_fields`] reads.
-const WIRE_JOB_FLAGS: &[&str] = &[
-    "benchmark",
-    "scale",
-    "kernel",
-    "k",
-    "pes",
-    "rp",
-    "cp",
-    "rmatrix",
-    "deadline-cycles",
-];
-
-/// The wire fields shared by `client run|search|trace`, built from the
-/// same flags the local subcommands take. Validation happens
-/// server-side; the client only insists that numbers parse.
-fn wire_job_fields(args: &Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
-    let mut fields: Vec<(&'static str, JsonValue)> = Vec::new();
-    fields.push((
-        "benchmark",
-        args.get("benchmark")
-            .ok_or("--benchmark is required")?
-            .into(),
-    ));
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    if let Some(v) = args.get("kernel") {
-        fields.push(("kernel", v.into()));
-    }
-    for (flag, key) in [("k", "k"), ("pes", "pes"), ("rp", "rp")] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
+/// `client run|search|trace|advise`: the request document the local
+/// command executes, sent to the daemon, and the reply printed by the
+/// local command's text renderer. A trace response is one long line, so
+/// its read limit is raised well past the default; the Chrome trace is
+/// written locally, byte-identical to what `spade-cli trace` writes.
+fn client_job(argv: &[String], name: &'static str, fields: &[Field]) -> Result<(), String> {
+    let mut fields = fields.to_vec();
+    let mut values = vec!["addr", "format"];
+    match name {
+        "advise" => {}
+        "trace" => {
+            fields.push(NO_CACHE);
+            values.push("out");
         }
+        _ => fields.push(NO_CACHE),
     }
-    if let Some(v) = args.get("cp") {
-        if v == "all" {
-            fields.push(("cp", "all".into()));
+    let args = parse_args(argv, &fields, &values, &[])?;
+    let json = parse_format(&args)?;
+    let request = request_doc(cmd(name), &fields, &args)?;
+    let max_frame = if name == "trace" {
+        256 << 20
+    } else {
+        MAX_FRAME_BYTES
+    };
+    let (response, doc) = client_roundtrip(&args, max_frame, &request.render())?;
+    if json {
+        println!("{response}");
+        return Ok(());
+    }
+    let result = doc.get("result").ok_or("response has no result")?;
+    let note = format!(
+        "{}, key {}",
+        if jb(&doc, "cached") {
+            "cached"
         } else {
-            fields.push(("cp", parse_flag_u64("cp", v)?.into()));
-        }
-    }
-    if let Some(v) = args.get("rmatrix") {
-        fields.push(("rmatrix", v.into()));
-    }
-    if args.has("barriers") {
-        fields.push(("barriers", true.into()));
-    }
-    if let Some(v) = args.get("deadline-cycles") {
-        fields.push((
-            "deadline_cycles",
-            parse_flag_u64("deadline-cycles", v)?.into(),
-        ));
-    }
-    if args.has("no-cache") {
-        fields.push(("no_cache", true.into()));
-    }
-    if args.has("full") {
-        fields.push(("full", true.into()));
-    }
-    Ok(fields)
-}
-
-/// `client run` / `client search`: submit one job to the daemon.
-fn client_job(argv: &[String], cmd: &'static str) -> Result<(), String> {
-    let switches: &[&str] = if cmd == "search" {
-        &["json", "barriers", "no-cache", "full"]
-    } else {
-        &["json", "barriers", "no-cache"]
-    };
-    let args = Args::parse(
-        argv,
-        &[&["addr", "format"], WIRE_JOB_FLAGS].concat(),
-        switches,
-    )?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", cmd.into())];
-    fields.extend(wire_job_fields(&args)?);
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("response has no result")?;
-    let cached = if doc.get("cached").and_then(JsonValue::as_bool) == Some(true) {
-        "cached"
-    } else {
-        "fresh"
-    };
-    let key = doc.get("key").and_then(JsonValue::as_str).unwrap_or("-");
-    if cmd == "run" {
-        let report = result.get("report").ok_or("result has no report")?;
-        println!(
-            "{} {} k={} pes={}: {} cycles, {} DRAM accesses ({cached}, key {key})",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            result
-                .get("kernel")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            ju(result, "k"),
-            ju(result, "pes"),
-            ju(report, "cycles"),
-            ju(report, "dram_accesses")
-        );
-    } else {
-        let candidates = result
-            .get("candidates")
-            .and_then(JsonValue::as_array)
-            .ok_or("result has no candidates")?;
-        println!(
-            "{} k={} pes={}: {} plans, {} failures ({cached}, key {key}); best first:",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            ju(result, "k"),
-            ju(result, "pes"),
-            candidates.len(),
-            ju(result, "failures")
-        );
-        for c in candidates.iter().take(5) {
-            let plan = c.get("plan");
-            println!(
-                "  {:>10} cycles  RP={:<6} CP={:<8} barriers={}",
-                ju(c, "cycles"),
-                plan.map_or(0, |p| ju(p, "row_panel_size")),
-                plan.map_or(0, |p| ju(p, "col_panel_size")),
-                plan.and_then(|p| p.get("barriers"))
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false)
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `client advise`: millisecond plan selection from the daemon. Advise
-/// is answered on the connection thread, so it works even when every
-/// simulation worker is busy.
-fn client_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &["addr", "format", "benchmark", "scale", "k", "pes"],
-        &["json"],
-    )?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "advise".into())];
-    fields.push((
-        "benchmark",
-        args.get("benchmark")
-            .ok_or("--benchmark is required")?
-            .into(),
-    ));
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    for flag in ["k", "pes"] {
-        if let Some(v) = args.get(flag) {
-            fields.push((flag, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("response has no result")?;
-    let plan = result.get("plan").ok_or("result has no plan")?;
-    println!(
-        "{} k={} pes={}: RP={} CP={} rMatrix={} barriers={} ({} tier, {} \u{3bc}s)",
-        result
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        ju(result, "k"),
-        ju(result, "pes"),
-        ju(plan, "row_panel_size"),
-        ju(plan, "col_panel_size"),
-        plan.get("r_policy")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        plan.get("barriers")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        result
-            .get("source")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        ju(result, "latency_us"),
+            "fresh"
+        },
+        doc.get("key").and_then(JsonValue::as_str).unwrap_or("-")
     );
+    match name {
+        "run" => print_run(result, Some(&note)),
+        "search" => print_search(result, Some(&note)),
+        "advise" => print_advice(result),
+        _ => {
+            // Re-rendering the parsed value reproduces the daemon's exact
+            // bytes: the codec's render∘parse fixpoint is pinned by the
+            // json fuzz suite.
+            let trace = result.get("trace").ok_or("trace response has no trace")?;
+            return write_trace(result, &trace.render(), args.get("out"), Some(&note));
+        }
+    }
     Ok(())
 }
 
-/// `client trace`: run (or cache-serve) a traced job on the daemon and
-/// write the Chrome-trace JSON locally — byte-identical to what
-/// `spade-cli trace` produces for the same job. Trace responses are one
-/// long line, so the read limit is raised well past the default.
-fn client_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        argv,
-        &[&["addr", "format", "window", "out"], WIRE_JOB_FLAGS].concat(),
-        &["json", "barriers", "no-cache"],
-    )?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "trace".into())];
-    fields.extend(wire_job_fields(&args)?);
-    if let Some(v) = args.get("window") {
-        fields.push(("window", parse_flag_u64("window", v)?.into()));
-    }
-    let (addr, mut client) = client_connect(&args, 256 << 20)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("trace response has no result")?;
-    let trace = result.get("trace").ok_or("trace response has no trace")?;
-    let out_path = match args.get("out") {
-        Some(p) => p.to_string(),
-        None => format!(
-            "{}-{}.trace.json",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("remote"),
-            result
-                .get("kernel")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("spmm")
-                .to_lowercase()
-        ),
-    };
-    // Re-rendering the parsed value reproduces the daemon's exact bytes:
-    // the codec's render∘parse fixpoint is pinned by the json fuzz suite.
-    std::fs::write(&out_path, trace.render()).map_err(|e| format!("{out_path}: {e}"))?;
-    let report = result.get("report");
-    let cached = if doc.get("cached").and_then(JsonValue::as_bool) == Some(true) {
-        "cached"
-    } else {
-        "fresh"
-    };
-    println!(
-        "wrote {out_path}: {} events over {} cycles ({cached}, load in ui.perfetto.dev)",
-        ju(result, "events"),
-        report.map_or(0, |r| ju(r, "cycles"))
-    );
-    Ok(())
+/// The suite shape `bench-perf` and `bench-advise` run at, validated like
+/// a request's `scale`, `k` and `pes`.
+fn suite_shape(args: &Args) -> Result<(Scale, usize, usize), String> {
+    let doc = request_doc(vec![], SUITE, args)?;
+    Ok((
+        request::parse_scale(&doc)?,
+        request::parse_k(&doc)?,
+        request::parse_pes(&doc)?,
+    ))
 }
 
 /// `bench-perf`: measures simulator host throughput under the event-driven
@@ -1638,13 +1132,8 @@ fn client_trace(argv: &[String]) -> Result<(), String> {
 /// gate: the command fails (after writing the summary) when the geomean
 /// event-driver speedup falls below the given floor.
 fn bench_perf(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["scale", "k", "pes", "out", "gate-speedup"], &[])?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let pes: usize = args.get_parsed("pes", 56)?;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("--pes must be a positive multiple of 4".into());
-    }
+    let args = parse_args(argv, SUITE, &["out", "gate-speedup"], &[])?;
+    let (scale, k, pes) = suite_shape(&args)?;
     let gate_speedup: f64 = args.get_parsed("gate-speedup", 0.0)?;
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
     let runner = ParallelRunner::from_env();
@@ -1747,9 +1236,9 @@ fn policy_from_name(name: &str) -> Option<RMatrixPolicy> {
 /// swept at that same scale. Unusable entries (foreign benchmarks,
 /// missing plans, sddmm rows) are skipped with a count, not an error.
 fn model_train(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["dataset", "scale", "out", "report"], &[])?;
+    let args = parse_args(argv, &[SCALE], &["dataset", "out", "report"], &[])?;
     let dataset_path = args.get("dataset").ok_or("--dataset is required")?;
-    let scale = parse_scale(&args)?;
+    let scale = request::parse_scale(&request_doc(vec![], &[SCALE], &args)?)?;
     let out = args.get("out").unwrap_or("spade.model");
     let text = std::fs::read_to_string(dataset_path).map_err(|e| format!("{dataset_path}: {e}"))?;
     let doc = JsonValue::parse(&text).map_err(|e| format!("{dataset_path}: {e}"))?;
@@ -1767,7 +1256,7 @@ fn model_train(argv: &[String]) -> Result<(), String> {
             if entry.get("kernel")?.as_str()? != "spmm" {
                 return None;
             }
-            let bench = lookup_benchmark(name).ok()?;
+            let bench = request::parse_benchmark(entry).ok()?;
             let plan = entry.get("plan")?;
             let feats = features
                 .entry(name.to_string())
@@ -1847,12 +1336,10 @@ fn merge_bench_section(path: &str, key: &str, section: JsonValue) -> String {
 /// selected-plan cycles / Opt cycles geomean) turn the run into a
 /// regression gate, failing after the summary is written.
 fn bench_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(
+    let args = parse_args(
         argv,
+        SUITE,
         &[
-            "scale",
-            "k",
-            "pes",
             "out",
             "model-out",
             "report-out",
@@ -1861,12 +1348,7 @@ fn bench_advise(argv: &[String]) -> Result<(), String> {
         ],
         &[],
     )?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let pes: usize = args.get_parsed("pes", 56)?;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("--pes must be a positive multiple of 4".into());
-    }
+    let (scale, k, pes) = suite_shape(&args)?;
     let gate_speedup: f64 = args.get_parsed("gate-advise-speedup", 0.0)?;
     let gate_quality: f64 = args.get_parsed("gate-advise-quality", 0.0)?;
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
@@ -1934,6 +1416,7 @@ fn bench_advise(argv: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spade_matrix::Coo;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1960,6 +1443,9 @@ mod tests {
             "16",
             "--pes",
             "4",
+            // Zero means no ceiling, as on the wire.
+            "--deadline-cycles",
+            "0",
         ]))
         .unwrap();
     }
@@ -1978,7 +1464,8 @@ mod tests {
             "all",
             "--rmatrix",
             "victim",
-            "--json",
+            "--format",
+            "json",
         ]))
         .unwrap();
     }
@@ -1991,6 +1478,11 @@ mod tests {
     #[test]
     fn bad_pes_is_rejected() {
         assert!(dispatch(&argv(&["run", "--benchmark", "kro", "--pes", "3"])).is_err());
+        // The daemon's limits hold locally too.
+        let err = dispatch(&argv(&["run", "--benchmark", "kro", "--pes", "2048"])).unwrap_err();
+        assert!(err.contains("exceeds the service limit"), "{err}");
+        let err = dispatch(&argv(&["run", "--benchmark", "kro", "--k", "8192"])).unwrap_err();
+        assert!(err.contains("exceeds the service limit"), "{err}");
     }
 
     #[test]
@@ -2089,6 +1581,29 @@ mod tests {
         assert!(err.contains("'--gate-mem-speedup'"), "{err}");
         let err = dispatch(&argv(&["bench-perf", "--mem-ops", "0"])).unwrap_err();
         assert!(err.contains("'--mem-ops'"), "{err}");
+        // `--json` was a second spelling of `--format json`.
+        let err = dispatch(&argv(&["run", "--benchmark", "myc", "--json"])).unwrap_err();
+        assert!(err.contains("'--json'"), "{err}");
+        // A search reads no kernel or plan knobs, locally or on the wire.
+        for client in [false, true] {
+            for flag in [
+                &["--kernel", "sddmm"][..],
+                &["--rp", "4"],
+                &["--cp", "all"],
+                &["--rmatrix", "victim"],
+                &["--barriers"],
+            ] {
+                let mut args = if client {
+                    argv(&["client", "search", "--addr", "127.0.0.1:1"])
+                } else {
+                    argv(&["search"])
+                };
+                args.extend(argv(&["--benchmark", "myc"]));
+                args.extend(argv(flag));
+                let err = dispatch(&args).unwrap_err();
+                assert!(err.contains(&format!("'{}'", flag[0])), "{err}");
+            }
+        }
     }
 
     #[test]

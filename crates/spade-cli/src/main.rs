@@ -4,16 +4,25 @@
 //! spade-cli info  [--scale tiny|small|default|large]
 //! spade-cli run   --benchmark kro [--kernel spmm|sddmm] [--k 32] [--pes 56]
 //!                 [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
-//!                 [--barriers] [--format json|text] [--telemetry 256]
-//! spade-cli trace kro [--kernel spmm|sddmm] [--k 32] [--pes 56]
+//!                 [--barriers] [--deadline-cycles N] [--format json|text]
+//!                 [--telemetry 256]
+//! spade-cli trace kro [the run flags but --format/--telemetry]
 //!                 [--window 256] [--out kro.trace.json]
-//! spade-cli advise --benchmark kro [--k 32] [--pes 56]
+//! spade-cli advise --benchmark kro [--k 32] [--pes 56] [--exact]
 //! spade-cli search --benchmark kro [--k 32] [--pes 56] [--full]
-//!                 [--format json|text] [--telemetry 256]
+//!                 [--deadline-cycles N] [--format json|text] [--telemetry 256]
 //! spade-cli mm    --file matrix.mtx [--k 32] [--pes 56] [--format json|text]
+//! spade-cli serve [--addr 127.0.0.1:7700] [--cache-dir DIR] ...
+//! spade-cli client run|search|trace|advise|query|batch|... --addr host:port
 //! spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
 //!                 [--gate-speedup X] [--out BENCH_sim.json]
 //! ```
+//!
+//! `run`, `search`, `trace`, `advise` and `mm` execute through the
+//! daemon's request core in-process, so `--format json` prints the
+//! daemon's `result` for the same request: `host_wall_ns` reads 0, `k` is
+//! at most 4096 and `pes` at most 1024, and `--deadline-cycles 0` means no
+//! ceiling. `commands::USAGE` lists every flag.
 
 mod args;
 mod commands;

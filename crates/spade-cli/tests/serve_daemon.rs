@@ -283,6 +283,13 @@ fn sigterm_drains_flushes_and_exits_zero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The raw `result` bytes of a reply line, which the daemon splices in
+/// last.
+fn result_bytes(reply: &str) -> &str {
+    let at = reply.find(",\"result\":").expect("reply has a result");
+    &reply[at + ",\"result\":".len()..reply.len() - 1]
+}
+
 /// Runs the built `spade-cli` with `args`, returning success + stdout.
 fn cli(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_spade-cli"))
@@ -297,8 +304,8 @@ fn cli(args: &[&str]) -> (bool, String) {
 
 /// The typed `client` subcommands, end to end against a live daemon:
 /// run (json and text), status, a Prometheus scrape, a dataset query,
-/// and a wire-served trace byte-compared against the locally produced
-/// file.
+/// a wire-served trace byte-compared against the locally produced file,
+/// and local `run`/`search`/`advise` results compared with the wire's.
 #[test]
 fn client_subcommands_drive_the_daemon_end_to_end() {
     let dir = temp_dir("client");
@@ -483,6 +490,61 @@ fn client_subcommands_drive_the_daemon_end_to_end() {
             .and_then(JsonValue::as_u64),
         Some(1),
         "every seeded entry ran at 4 PEs"
+    );
+
+    // Local and wire results are one set of bytes: the CLI runs the
+    // daemon's parser, executor and renderer in-process.
+    let job = [
+        "--benchmark",
+        "myc",
+        "--k",
+        "16",
+        "--pes",
+        "4",
+        "--scale",
+        "tiny",
+        "--format",
+        "json",
+    ];
+    let knobs = [
+        "--kernel",
+        "sddmm",
+        "--rp",
+        "4",
+        "--rmatrix",
+        "victim",
+        "--barriers",
+    ];
+    for (cmd, extra) in [("run", &[][..]), ("run", &knobs[..]), ("search", &[][..])] {
+        let (ok, local) = cli(&[&[cmd][..], &job, extra].concat());
+        assert!(ok, "local {cmd} {extra:?} failed: {local}");
+        let (ok, wire) = cli(&[&["client", cmd, "--addr", &addr][..], &job, extra].concat());
+        assert!(ok, "client {cmd} {extra:?} failed: {wire}");
+        assert_eq!(
+            local.trim_end(),
+            result_bytes(wire.trim_end()),
+            "{cmd} {extra:?}: local and wire results differ"
+        );
+    }
+    // Advice on every field but the selection latency, a host property.
+    let without_latency = |doc: &JsonValue| match doc {
+        JsonValue::Object(fields) => JsonValue::Object(
+            fields
+                .iter()
+                .filter(|(key, _)| key != "latency_us")
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    };
+    let (ok, local) = cli(&[&["advise"][..], &job].concat());
+    assert!(ok, "local advise failed: {local}");
+    let (ok, wire) = cli(&[&["client", "advise", "--addr", &addr][..], &job].concat());
+    assert!(ok, "client advise failed: {wire}");
+    let wire = parse(wire.trim());
+    assert_eq!(
+        without_latency(&parse(local.trim())).render(),
+        without_latency(wire.get("result").expect("advise result")).render()
     );
 
     let (ok, out) = cli(&["client", "shutdown", "--addr", &addr]);

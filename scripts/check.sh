@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings"
+# Dead intra-doc links (a public item linking a private one) and other
+# rustdoc warnings fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== cargo test -q"
 cargo test --workspace -q
 
