@@ -9,11 +9,12 @@
 //! or a recompute, never a wrong answer:
 //!
 //! * **Atomic commits.** An entry is written to a temp file in the cache
-//!   directory and published with [`std::fs::rename`] — on POSIX a rename
-//!   within one filesystem is atomic, so a reader only ever observes
-//!   either no entry or a complete one. A crash mid-write leaves a
-//!   `*.partial` temp file that no reader ever opens; leftovers are swept
-//!   on the next [`ResultCache::open`].
+//!   directory, fsynced and published with [`std::fs::rename`] — on POSIX
+//!   a rename within one filesystem is atomic, so a reader only ever
+//!   observes either no entry or a complete one. A crash mid-write leaves
+//!   a `*.partial` temp file that no reader ever opens; leftovers are
+//!   swept on the next [`ResultCache::open`]. The index and saved cost
+//!   models are written by the same routine.
 //! * **Self-verifying entries.** Every file carries a magic + format
 //!   version header and a length + FNV-1a checksum footer. A reader
 //!   validates all four before trusting a byte; any mismatch — truncation,
@@ -47,6 +48,9 @@ const HEADER_LEN: usize = 20;
 
 /// payload length again (8) + FNV-1a checksum of the payload (8).
 const FOOTER_LEN: usize = 16;
+
+/// Distinguishes the temp and quarantine files this process writes.
+static SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Streaming FNV-1a 64-bit hash — the workspace's dependency-free content
 /// hash for cache keys and entry checksums. Stable across platforms,
@@ -172,8 +176,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    /// Distinguishes temp files written concurrently by this process.
-    seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -203,7 +205,6 @@ impl ResultCache {
         }
         Ok(ResultCache {
             dir,
-            seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -267,10 +268,10 @@ impl ResultCache {
     pub fn peek(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entry_path(key);
         let bytes = fs::read(&path).ok()?;
-        match decode_entry(&bytes) {
+        match decode_framed(MAGIC, CACHE_FORMAT_VERSION, &bytes) {
             Ok(payload) => Some(payload.to_vec()),
             Err(reason) => {
-                self.quarantine(&path, reason);
+                self.quarantine(&path, &reason);
                 None
             }
         }
@@ -302,13 +303,13 @@ impl ResultCache {
                 return None;
             }
         };
-        match decode_entry(&bytes) {
+        match decode_framed(MAGIC, CACHE_FORMAT_VERSION, &bytes) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload.to_vec())
             }
             Err(reason) => {
-                self.quarantine(&path, reason);
+                self.quarantine(&path, &reason);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -325,30 +326,10 @@ impl ResultCache {
     /// cache directory is left without a (new) entry but never with a
     /// half-written one under `key`.
     pub fn put(&self, key: &str, payload: &[u8]) -> io::Result<()> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!("{key}.{}.{seq}.partial", std::process::id()));
-        let result = (|| {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&encode_entry(payload))?;
-            // Make the entry durable before it becomes visible; without
-            // this a crash after rename could still lose the *contents*.
-            f.sync_all()?;
-            drop(f);
-            fs::rename(&tmp, self.entry_path(key))?;
-            // Best-effort directory sync so the rename itself is durable.
-            if let Ok(d) = File::open(&self.dir) {
-                let _ = d.sync_all();
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        } else {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        let framed = encode_framed(MAGIC, CACHE_FORMAT_VERSION, payload);
+        write_durable(&self.entry_path(key), &framed)?;
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Moves a failed entry aside so the next writer can recompute and
@@ -361,7 +342,7 @@ impl ResultCache {
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "entry".into());
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            let seq = SEQ.fetch_add(1, Ordering::Relaxed);
             fs::rename(path, qdir.join(format!("{name}.{seq}.bad"))).is_ok()
         };
         if !moved {
@@ -400,28 +381,19 @@ impl ResultCache {
         if let Some(dataset) = dataset {
             fields.push(("dataset", dataset));
         }
-        let doc = JsonValue::object(fields);
         let path = self.dir.join("index.json");
-        let tmp = self.dir.join(format!(
-            "index.{}.{}.partial",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = File::create(&tmp)?;
-        f.write_all(doc.render().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, &path)?;
+        write_durable(&path, JsonValue::object(fields).render().as_bytes())?;
         Ok(path)
     }
 }
 
-/// Frames `payload` as one self-verifying entry:
-/// `MAGIC | version | len | payload | len | fnv1a(payload)`.
-fn encode_entry(payload: &[u8]) -> Vec<u8> {
+/// Frames `payload` as one self-verifying file image:
+/// `magic | version | len | payload | len | fnv1a(payload)` — the layout
+/// of cache entries and of saved cost models.
+pub(crate) fn encode_framed(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -429,34 +401,70 @@ fn encode_entry(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates one entry file image and returns its payload slice.
-fn decode_entry(bytes: &[u8]) -> Result<&[u8], &'static str> {
+/// Validates a file image framed by [`encode_framed`] with `magic` and
+/// `version` and returns its payload slice, or why it was refused.
+pub(crate) fn decode_framed<'a>(
+    magic: &[u8; 8],
+    version: u32,
+    bytes: &'a [u8],
+) -> Result<&'a [u8], String> {
     if bytes.len() < HEADER_LEN + FOOTER_LEN {
-        return Err("truncated before the header/footer");
+        return Err("truncated before the header/footer".into());
     }
-    if &bytes[..8] != MAGIC {
-        return Err("bad magic");
+    if &bytes[..8] != magic {
+        return Err("bad magic".into());
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != CACHE_FORMAT_VERSION {
-        return Err("stale format version");
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if found != version {
+        return Err(format!("format v{found} is not the supported v{version}"));
     }
     let header_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     let expected = (bytes.len() - HEADER_LEN - FOOTER_LEN) as u64;
     if header_len != expected {
-        return Err("header length disagrees with the file size");
+        return Err("header length disagrees with the file size".into());
     }
     let payload = &bytes[HEADER_LEN..bytes.len() - FOOTER_LEN];
     let footer = &bytes[bytes.len() - FOOTER_LEN..];
     let footer_len = u64::from_le_bytes(footer[..8].try_into().expect("8 bytes"));
     if footer_len != header_len {
-        return Err("footer length disagrees with the header");
+        return Err("footer length disagrees with the header".into());
     }
     let checksum = u64::from_le_bytes(footer[8..].try_into().expect("8 bytes"));
     if checksum != fnv1a(payload) {
-        return Err("checksum mismatch");
+        return Err("checksum mismatch".into());
     }
     Ok(payload)
+}
+
+/// Writes `bytes` to `path` durably: a uniquely named `*.partial` temp
+/// file next to it, fsync, rename over `path`, then a best-effort sync of
+/// the directory so the rename itself is durable. A crash at any instant
+/// leaves the old file or the new one, never a torn or empty one; a
+/// failed write removes its temp file.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error (disk full, permissions).
+pub(crate) fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.partial",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let result = File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return result;
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(d) = File::open(dir.unwrap_or(Path::new("."))) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -77,6 +77,11 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Adds `delta` (negative to subtract) and returns the new value.
+    pub fn add(&self, delta: i64) -> i64 {
+        self.0.fetch_add(delta, Ordering::Relaxed) + delta
+    }
+
     /// The current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -609,9 +614,10 @@ pub struct ServiceMetrics {
     pub deadline_kills: Arc<Counter>,
     /// Connections accepted over the lifetime.
     pub connections: Arc<Counter>,
-    /// Admission-queue depth (mirrored at snapshot time).
+    /// Admission-queue depth: up when a request is admitted, down when
+    /// a worker picks it up or the queue refuses it.
     pub queue_depth: Arc<Gauge>,
-    /// Jobs executing right now (mirrored at snapshot time).
+    /// Jobs executing right now.
     pub in_flight: Arc<Gauge>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,

@@ -1,4 +1,5 @@
-//! A fitted cost model for millisecond plan selection (`advise --fast`).
+//! A fitted cost model for millisecond plan selection (the default
+//! `advise` path).
 //!
 //! `find_opt` answers "which plan is best?" by simulating the whole
 //! Table-3 space — seconds to minutes per matrix. This module learns the
@@ -14,11 +15,11 @@
 //! matrices (a purely additive model would rank plans identically for
 //! every matrix).
 //!
-//! On disk a model is framed exactly like a cache entry — magic, format
-//! version, length-prefixed JSON payload, trailing length + FNV-1a
-//! checksum — so a truncated or bit-flipped file is detected at load
-//! time and the daemon falls back to the heuristic tier instead of
-//! serving garbage predictions.
+//! On disk a model is framed and written by the cache's own routines —
+//! magic, format version, length-prefixed JSON payload, trailing length +
+//! FNV-1a checksum, committed with fsync and rename — so a truncated or
+//! bit-flipped file is detected at load time and the daemon falls back to
+//! the heuristic tier instead of serving garbage predictions.
 
 use std::path::Path;
 
@@ -26,7 +27,7 @@ use spade_core::advisor::PlanRanker;
 use spade_core::{ExecutionPlan, JsonValue, RMatrixPolicy};
 use spade_matrix::analysis::{MatrixFeatures, FEATURE_NAMES, FEATURE_VECTOR_VERSION};
 
-use crate::cache::fnv1a;
+use crate::cache::{decode_framed, encode_framed, fnv1a, write_durable};
 
 /// Magic bytes opening a model file.
 pub const MODEL_MAGIC: &[u8; 8] = b"SPADEML\0";
@@ -562,25 +563,19 @@ impl CostModel {
         })
     }
 
-    /// Writes the model to `path` atomically (temp file + rename) in the
-    /// checksummed `SPADEML` framing.
+    /// Writes the model to `path` durably (temp file, fsync, rename — the
+    /// cache's writer) in the checksummed `SPADEML` framing.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error, tagged with the path.
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        let payload = self.to_json().render();
-        let mut bytes = Vec::with_capacity(payload.len() + 36);
-        bytes.extend_from_slice(MODEL_MAGIC);
-        bytes.extend_from_slice(&MODEL_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload.as_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(payload.as_bytes()).to_le_bytes());
-        let tmp = path.with_extension("tmp");
-        let err = |e: std::io::Error| format!("{}: {e}", path.display());
-        std::fs::write(&tmp, &bytes).map_err(err)?;
-        std::fs::rename(&tmp, path).map_err(err)
+        let bytes = encode_framed(
+            MODEL_MAGIC,
+            MODEL_FORMAT_VERSION,
+            self.to_json().render().as_bytes(),
+        );
+        write_durable(path, &bytes).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Loads a model from `path`, verifying magic, version, framing and
@@ -594,34 +589,8 @@ impl CostModel {
     pub fn load(path: &Path) -> Result<Self, String> {
         let err = |m: &str| format!("{}: {m}", path.display());
         let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if bytes.len() < MODEL_MAGIC.len() + 4 + 8 + 8 + 8 {
-            return Err(err("truncated model file"));
-        }
-        if &bytes[..MODEL_MAGIC.len()] != MODEL_MAGIC {
-            return Err(err("bad magic (not a SPADEML model file)"));
-        }
-        let mut off = MODEL_MAGIC.len();
-        let version = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        if version != MODEL_FORMAT_VERSION {
-            return Err(err(&format!(
-                "model format v{version} is not the supported v{MODEL_FORMAT_VERSION}"
-            )));
-        }
-        off += 4;
-        let len = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) as usize;
-        off += 8;
-        if bytes.len() != off + len + 16 {
-            return Err(err("length header does not match file size"));
-        }
-        let payload = &bytes[off..off + len];
-        let tail_len = u64::from_le_bytes(bytes[off + len..off + len + 8].try_into().unwrap());
-        let checksum = u64::from_le_bytes(bytes[off + len + 8..off + len + 16].try_into().unwrap());
-        if tail_len as usize != len {
-            return Err(err("trailing length does not match header"));
-        }
-        if fnv1a(payload) != checksum {
-            return Err(err("checksum mismatch"));
-        }
+        let payload =
+            decode_framed(MODEL_MAGIC, MODEL_FORMAT_VERSION, &bytes).map_err(|e| err(&e))?;
         let text = std::str::from_utf8(payload).map_err(|_| err("payload is not UTF-8"))?;
         let doc = JsonValue::parse(text).map_err(|e| err(&e))?;
         Self::from_json(&doc).map_err(|e| err(&e))

@@ -196,8 +196,8 @@ pub fn run_suite_perf(
     })
 }
 
-/// One benchmark's advise measurement: selection latency of the tiered
-/// `advise --fast` path vs the quick `find_opt` sweep, and the quality of
+/// One benchmark's advise measurement: selection latency of the default
+/// tiered `advise` path vs the quick `find_opt` sweep, and the quality of
 /// the plan it picked (cycles relative to the exhaustive quick Opt).
 #[derive(Debug, Clone)]
 pub struct AdviseBenchRow {

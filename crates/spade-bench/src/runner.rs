@@ -15,7 +15,7 @@ use spade_core::{ExecutionPlan, Primitive, RunReport, SystemConfig};
 use spade_matrix::analysis::MatrixFeatures;
 
 use crate::machines;
-use crate::parallel::{Job, JobOutput, ParallelRunner};
+use crate::parallel::{Job, ParallelRunner};
 use crate::suite::Workload;
 
 /// How many model-ranked candidates [`find_opt_pruned`] simulates before
@@ -38,34 +38,6 @@ pub fn run_spade(
         *plan,
     )
     .execute()
-}
-
-/// Runs one SPADE execution with observability on: windowed telemetry
-/// (when `telemetry_window` is set) and event tracing (when `trace` is
-/// set), validated against the gold kernel like [`run_spade`].
-///
-/// # Panics
-///
-/// Panics if the simulation fails or its output diverges from the gold
-/// kernel.
-pub fn run_spade_observed(
-    config: &SystemConfig,
-    w: &Workload,
-    primitive: Primitive,
-    plan: &ExecutionPlan,
-    telemetry_window: Option<spade_sim::Cycle>,
-    trace: bool,
-) -> JobOutput {
-    Job::new(
-        &Arc::new(w.clone()),
-        &Arc::new(config.clone()),
-        primitive,
-        *plan,
-    )
-    .with_telemetry(telemetry_window)
-    .with_trace(trace)
-    .try_execute_full()
-    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The SPADE Base report for a workload.

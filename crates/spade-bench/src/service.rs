@@ -50,9 +50,12 @@
 //! # Protocol
 //!
 //! Requests are JSON objects with a `cmd` field; an optional `id`
-//! (string or number) is echoed in the response envelope. Success:
-//! `{"ok":true,"cmd":...,"cached":...,"key":...,"result":{...}}`.
-//! Failure: `{"ok":false,"error":{"kind":...,"message":...}}` with
+//! (string or integer) is echoed on every reply to a frame that parses
+//! as JSON. One renderer writes every reply as
+//! `{"ok",["cmd"],["id"],…,["result"]}`: a job's success is
+//! `{"ok":true,"cmd":...,"cached":...,"key":...,"result":{...}}` with the
+//! result bytes spliced last, a failure
+//! `{"ok":false,...,"error":{"kind":...,"message":...}}` with
 //! `retry_after_ms` on `overloaded`. Error kinds: `bad_request`,
 //! `overloaded`, `shutting_down`, `deadline_exceeded`, `sim_failed`,
 //! `internal`. DESIGN.md documents the full matrix.
@@ -74,8 +77,9 @@
 //!
 //! * `batch` — one request carrying many `run`-shaped jobs (an explicit
 //!   `jobs` array, or a `sweep` cross-product template over benchmarks ×
-//!   kernels × k × pes × plans). Jobs fan out through the same bounded
-//!   admission queue; each job probes the cache individually, fails
+//!   kernels × k × pes × plans). Every job is admitted by the one
+//!   routine a standalone request goes through (a standalone request is
+//!   a one-slot batch): it probes the cache individually, fails
 //!   individually, and — when the queue fills mid-batch — is rejected
 //!   individually with `overloaded` + `retry_after_ms` while the jobs
 //!   that fit keep running. The reply lists per-job payloads in job
@@ -90,7 +94,7 @@
 //!
 //! # Observability is pure
 //!
-//! Metrics are relaxed atomics, log spans (`SPADE_LOG=json`) go to
+//! Metrics are relaxed atomics, log spans (`--log-json`) go to
 //! stderr, and neither feeds back into a simulation: every `RunReport`,
 //! telemetry series and trace byte is identical with observability on
 //! or off. The robustness suite pins this.
@@ -99,7 +103,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -211,9 +215,8 @@ pub struct ServiceConfig {
     pub worker_delay: Option<Duration>,
     /// Emit one JSON log line per request-lifecycle event to stderr
     /// (admission → queue → worker → cache → reply), each carrying the
-    /// request id. Defaults to the `SPADE_LOG=json` environment setting;
-    /// off otherwise. Logging is pure observation — response bytes are
-    /// identical either way.
+    /// request id (`serve --log-json`; off by default). Logging is pure
+    /// observation — response bytes are identical either way.
     pub log_json: bool,
     /// Trained cost-model file ([`crate::model::CostModel::save`]
     /// format) backing the `advise` request's model tier. `None` — and
@@ -238,7 +241,7 @@ impl Default for ServiceConfig {
             retry_after_ms: 100,
             cache_dir: None,
             worker_delay: None,
-            log_json: std::env::var("SPADE_LOG").is_ok_and(|v| v == "json"),
+            log_json: false,
             model_path: None,
         }
     }
@@ -289,6 +292,9 @@ impl ServiceSummary {
 }
 
 /// Shared daemon state: configuration, cache, counters, shutdown flag.
+/// The queue and worker gauges and the back-pressure, framing and
+/// connection counters live only in the metrics registry; `status`, the
+/// drain summary and the retry hint read them there.
 struct Inner {
     config: ServiceConfig,
     cache: Option<ResultCache>,
@@ -301,13 +307,8 @@ struct Inner {
     digests: KeyDigests,
     metrics: ServiceMetrics,
     shutdown: AtomicBool,
-    queue_depth: AtomicUsize,
-    in_flight: AtomicUsize,
     served_ok: AtomicU64,
     served_err: AtomicU64,
-    rejected_overload: AtomicU64,
-    bad_frames: AtomicU64,
-    connections: AtomicU64,
     /// Monotonic request-id source: every parsed frame gets the next id,
     /// threading one identity through its log span from admission to
     /// reply.
@@ -323,6 +324,11 @@ impl Inner {
         self.shutdown.load(Ordering::SeqCst) || termination_signal_received()
     }
 
+    /// Requests waiting in the admission queue.
+    fn queue_depth(&self) -> usize {
+        usize::try_from(self.metrics.queue_depth.get()).unwrap_or(0)
+    }
+
     /// The current `retry_after_ms` hint: the configured base scaled by
     /// queue occupancy and the mean observed queue wait.
     fn retry_after_hint(&self) -> u64 {
@@ -330,7 +336,7 @@ impl Inner {
         let mean_wait_us = wait.sum().checked_div(wait.count()).unwrap_or(0);
         scaled_retry_after_ms(
             self.config.retry_after_ms,
-            self.queue_depth.load(Ordering::Relaxed),
+            self.queue_depth(),
             self.config.queue_capacity,
             mean_wait_us,
         )
@@ -426,13 +432,8 @@ impl Service {
                 digests: KeyDigests::default(),
                 metrics: ServiceMetrics::new(),
                 shutdown: AtomicBool::new(false),
-                queue_depth: AtomicUsize::new(0),
-                in_flight: AtomicUsize::new(0),
                 served_ok: AtomicU64::new(0),
                 served_err: AtomicU64::new(0),
-                rejected_overload: AtomicU64::new(0),
-                bad_frames: AtomicU64::new(0),
-                connections: AtomicU64::new(0),
                 next_rid: AtomicU64::new(0),
                 index_dirty: AtomicU64::new(0),
                 started: Instant::now(),
@@ -483,7 +484,7 @@ impl Service {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     handlers.retain(|h| !h.is_finished());
-                    inner.connections.fetch_add(1, Ordering::Relaxed);
+                    inner.metrics.connections.inc();
                     if handlers.len() >= inner.config.max_connections {
                         refuse_connection(&inner, stream);
                         continue;
@@ -518,12 +519,13 @@ impl Service {
                 eprintln!("spade-serve: cache index flush failed: {e}");
             }
         }
+        let m = &inner.metrics;
         Ok(ServiceSummary {
             served_ok: inner.served_ok.load(Ordering::Relaxed),
             served_err: inner.served_err.load(Ordering::Relaxed),
-            rejected_overload: inner.rejected_overload.load(Ordering::Relaxed),
-            bad_frames: inner.bad_frames.load(Ordering::Relaxed),
-            connections: inner.connections.load(Ordering::Relaxed),
+            rejected_overload: m.rejected_overload.get(),
+            bad_frames: m.bad_frames.get(),
+            connections: m.connections.get(),
             cache: inner.cache.as_ref().map(ResultCache::stats),
             metrics: metrics_snapshot(&inner),
         })
@@ -533,15 +535,13 @@ impl Service {
 /// Over-capacity connections get one structured rejection, then close —
 /// the same back-pressure contract as a full queue.
 fn refuse_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-    let resp = error_response(
-        None,
-        None,
-        "overloaded",
-        "connection limit reached",
-        Some(inner.retry_after_hint()),
-    );
-    let _ = stream.write_all(resp.as_bytes());
+    inner.metrics.rejected_overload.inc();
+    let refusal = Outcome::Failed {
+        kind: "overloaded",
+        message: "connection limit reached".into(),
+        retry_after_ms: Some(inner.retry_after_hint()),
+    };
+    let _ = stream.write_all(refusal.render(Head::Request(None, None)).as_bytes());
     let _ = stream.write_all(b"\n");
 }
 
@@ -564,10 +564,8 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
     let mut frames = FrameReader::with_max_frame(stream, inner.config.max_frame_bytes);
     loop {
         if inner.shutting_down() {
-            let _ = respond(
-                &mut writer,
-                &error_response(None, None, "shutting_down", "daemon is draining", None),
-            );
+            let draining = Outcome::failed("shutting_down", "daemon is draining");
+            let _ = respond(&mut writer, &draining.render(Head::Request(None, None)));
             return;
         }
         match frames.next_frame() {
@@ -583,22 +581,15 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
             Err(FrameError::TooLong { limit }) => {
                 // The rest of the oversized line is unread: framing is
                 // lost, so answer once and drop the connection.
-                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond(
-                    &mut writer,
-                    &error_response(
-                        None,
-                        None,
-                        "bad_request",
-                        &format!("frame exceeds {limit} bytes"),
-                        None,
-                    ),
-                );
+                inner.metrics.bad_frames.inc();
+                let too_long =
+                    Outcome::failed("bad_request", format!("frame exceeds {limit} bytes"));
+                let _ = respond(&mut writer, &too_long.render(Head::Request(None, None)));
                 return;
             }
             Err(FrameError::Truncated { .. }) => {
                 // Client died mid-line; nobody is listening for a reply.
-                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.bad_frames.inc();
                 return;
             }
             Err(FrameError::Io(e))
@@ -625,434 +616,85 @@ fn process_frame(
 ) -> bool {
     let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
     let received = Instant::now();
-    let (id, parsed) =
-        match parse_request(frame, inner.config.default_deadline_cycles, &inner.digests) {
-            Ok(p) => p,
-            Err(message) => {
-                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
-                log_event(
-                    inner,
-                    rid,
-                    "bad_frame",
-                    &[("message", message.as_str().into())],
-                );
-                return respond(
-                    writer,
-                    &error_response(None, None, "bad_request", &message, None),
-                );
-            }
-        };
-    let cmd_name = match &parsed {
-        Request::Ping => "ping",
-        Request::Status => "status",
-        Request::Metrics => "metrics",
-        Request::Shutdown => "shutdown",
-        Request::Work { cmd, .. } => cmd,
-        Request::Batch { .. } => "batch",
-        Request::Advise(_) => "advise",
-    };
-    log_event(inner, rid, "request", &[("cmd", cmd_name.into())]);
-    let (response, ok) = match parsed {
-        Request::Ping => (
-            JsonValue::object([
-                ("ok", true.into()),
-                ("cmd", "ping".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ])
-            .render(),
-            true,
-        ),
-        Request::Status => (status_response(inner).render(), true),
-        Request::Metrics => {
-            // Answered on the connection thread, like status: a scrape
-            // must work even when every worker is busy.
-            let mut fields = vec![
-                ("ok", JsonValue::from(true)),
-                ("cmd", "metrics".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ];
-            if let Some(id) = &id {
-                fields.push(("id", id.clone()));
-            }
-            fields.push(("result", metrics_snapshot(inner).to_json()));
-            (JsonValue::object(fields).render(), true)
+    let (id, parsed) = parse_request(frame, inner.config.default_deadline_cycles, &inner.digests);
+    let request = match parsed {
+        Ok(request) => request,
+        Err(message) => {
+            inner.metrics.bad_frames.inc();
+            log_event(
+                inner,
+                rid,
+                "bad_frame",
+                &[("message", message.as_str().into())],
+            );
+            let reply = Outcome::failed("bad_request", message);
+            return respond(writer, &reply.render(Head::Request(None, id.as_ref())));
         }
+    };
+    let cmd = request.cmd();
+    log_event(inner, rid, "request", &[("cmd", cmd.into())]);
+    let protocol = || vec![("protocol", JsonValue::from(PROTOCOL_VERSION))];
+    let body: Body = match request {
+        Request::Ping => (true, protocol(), None),
+        Request::Status => (true, status_fields(inner), None),
+        // Answered on the connection thread, like status: a scrape must
+        // work even when every worker is busy.
+        Request::Metrics => (
+            true,
+            protocol(),
+            Some(metrics_snapshot(inner).to_json().render()),
+        ),
         Request::Shutdown => {
             inner.shutdown.store(true, Ordering::SeqCst);
-            (
-                JsonValue::object([
-                    ("ok", true.into()),
-                    ("cmd", "shutdown".into()),
-                    ("draining", true.into()),
-                ])
-                .render(),
-                true,
-            )
+            (true, vec![("draining", true.into())], None)
         }
-        Request::Work {
-            cmd,
-            work,
-            cache_key,
-        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, work, cache_key),
-        Request::Batch { jobs } => batch_response(inner, work_tx, rid, id.as_ref(), jobs),
-        Request::Advise(target) => advise_response(inner, id.as_ref(), &target),
+        // A standalone request is admitted and settled as a one-slot
+        // batch.
+        Request::Work(slot) => {
+            let admitted = admit(inner, work_tx, rid, None, slot, &mut Workloads::new());
+            settle(inner, admitted).body()
+        }
+        Request::Batch(slots) => (
+            true,
+            Vec::new(),
+            Some(batch_result(inner, work_tx, rid, slots)),
+        ),
+        // Plan advice never occupies a simulation worker: it is answered
+        // here with the model loaded at bind time, so it stays available
+        // when every worker is busy.
+        Request::Advise(target) => {
+            let ranker = inner.model.as_ref().map(|m| m as &dyn PlanRanker);
+            match request::advise(&target, ranker) {
+                Ok(advised) => {
+                    inner
+                        .metrics
+                        .count_advise(advised.source, advised.latency_us);
+                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
+                    (true, protocol(), Some(advised.to_json(&target).render()))
+                }
+                Err(message) => {
+                    inner.served_err.fetch_add(1, Ordering::Relaxed);
+                    Outcome::failed("sim_failed", message).body()
+                }
+            }
+        }
     };
-    inner.metrics.count_request(cmd_name, ok);
+    let ok = body.0;
+    inner.metrics.count_request(cmd, ok);
     log_event(
         inner,
         rid,
         "reply",
         &[
-            ("cmd", cmd_name.into()),
+            ("cmd", cmd.into()),
             ("ok", ok.into()),
             ("total_us", (received.elapsed().as_micros() as u64).into()),
         ],
     );
-    respond(writer, &response)
-}
-
-/// Answers one `run`/`search`/`query`/`trace` request: cache probe on
-/// the connection thread, then — on a miss only — preparation and the
-/// bounded admission queue. Returns the response line and whether it
-/// reports success.
-fn work_response(
-    inner: &Arc<Inner>,
-    work_tx: &SyncSender<WorkItem>,
-    rid: u64,
-    id: Option<&JsonValue>,
-    cmd: &'static str,
-    work: Work,
-    cache_key: Option<String>,
-) -> (String, bool) {
-    // Cache probe happens on the connection thread: a hit never
-    // takes a queue slot and replies in microseconds.
-    if let (Some(cache), Some(key)) = (inner.cache.as_ref(), cache_key.as_deref()) {
-        if let Some(payload) = cache.get(key) {
-            if let Ok(result) = String::from_utf8(payload) {
-                inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                log_event(inner, rid, "cache_hit", &[("key", key.into())]);
-                return (ok_envelope(cmd, id, true, Some(key), &result), true);
-            }
-        }
-    }
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let item = WorkItem {
-        rid,
-        cmd,
-        kind: work.prepare(),
-        store_key: cache_key.clone(),
-        enqueued: Instant::now(),
-        reply: reply_tx,
-    };
-    // The queue slot is counted *before* try_send: the worker may pull
-    // the item (and decrement) the instant the send lands, so counting
-    // afterwards could transiently wrap the depth below zero.
-    let depth = inner.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-    match work_tx.try_send(item) {
-        Err(TrySendError::Full(_)) => {
-            inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-            (
-                error_response(
-                    id,
-                    Some(cmd),
-                    "overloaded",
-                    &format!(
-                        "admission queue is full ({} slots)",
-                        inner.config.queue_capacity
-                    ),
-                    Some(inner.retry_after_hint()),
-                ),
-                false,
-            )
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            (
-                error_response(id, Some(cmd), "shutting_down", "daemon is draining", None),
-                false,
-            )
-        }
-        Ok(()) => {
-            log_event(inner, rid, "enqueue", &[("depth", depth.into())]);
-            match reply_rx.recv() {
-                Ok(Ok(result)) => {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    (
-                        ok_envelope(cmd, id, false, cache_key.as_deref(), &result),
-                        true,
-                    )
-                }
-                Ok(Err(failed)) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if failed.kind == "deadline_exceeded" {
-                        inner.metrics.deadline_kills.inc();
-                    }
-                    (
-                        error_response(id, Some(cmd), failed.kind, &failed.message, None),
-                        false,
-                    )
-                }
-                Err(_) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    (
-                        error_response(
-                            id,
-                            Some(cmd),
-                            "internal",
-                            "worker dropped the request",
-                            None,
-                        ),
-                        false,
-                    )
-                }
-            }
-        }
-    }
-}
-
-/// Answers one `advise` request on the connection thread with whatever
-/// model the daemon loaded at bind time. Never touches the admission
-/// queue — plan advice stays available even when every simulation worker
-/// is busy.
-fn advise_response(inner: &Arc<Inner>, id: Option<&JsonValue>, target: &Target) -> (String, bool) {
-    let ranker = inner.model.as_ref().map(|m| m as &dyn PlanRanker);
-    match request::advise(target, ranker) {
-        Ok(advised) => {
-            inner
-                .metrics
-                .count_advise(advised.source, advised.latency_us);
-            inner.served_ok.fetch_add(1, Ordering::Relaxed);
-            let mut fields = vec![
-                ("ok", JsonValue::from(true)),
-                ("cmd", "advise".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ];
-            if let Some(id) = id {
-                fields.push(("id", id.clone()));
-            }
-            fields.push(("result", advised.to_json(target)));
-            (JsonValue::object(fields).render(), true)
-        }
-        Err(message) => {
-            inner.served_err.fetch_add(1, Ordering::Relaxed);
-            (
-                error_response(id, Some("advise"), "sim_failed", &message, None),
-                false,
-            )
-        }
-    }
-}
-
-/// One rendered per-job object inside a batch reply: success, with the
-/// result bytes spliced verbatim like [`ok_envelope`] — a batch job's
-/// payload is byte-identical to the standalone request's.
-fn batch_job_ok(index: usize, cached: bool, key: Option<&str>, result: &str) -> String {
-    let mut s = String::with_capacity(result.len() + 96);
-    s.push_str("{\"index\":");
-    s.push_str(&index.to_string());
-    s.push_str(",\"ok\":true,\"cached\":");
-    s.push_str(if cached { "true" } else { "false" });
-    if let Some(key) = key {
-        s.push_str(",\"key\":\"");
-        s.push_str(key);
-        s.push('"');
-    }
-    s.push_str(",\"result\":");
-    s.push_str(result);
-    s.push('}');
-    s
-}
-
-/// One rendered per-job failure inside a batch reply, mirroring the
-/// standalone error envelope's `error` object.
-fn batch_job_error(index: usize, kind: &str, message: &str, retry_after_ms: Option<u64>) -> String {
-    let mut fields = vec![
-        ("index", JsonValue::from(index)),
-        ("ok", false.into()),
-        (
-            "error",
-            JsonValue::object([("kind", kind.into()), ("message", message.into())]),
-        ),
-    ];
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", ms.into()));
-    }
-    JsonValue::object(fields).render()
-}
-
-/// A batch slot between admission and collection.
-enum BatchSlot {
-    /// Answered on the connection thread (cache hit, rejection, or a
-    /// malformed job spec).
-    Done {
-        rendered: String,
-        outcome: &'static str,
-    },
-    /// Admitted; the worker's reply arrives on `rx`.
-    Pending {
-        rx: Receiver<Result<String, Failed>>,
-        cache_key: Option<String>,
-    },
-}
-
-/// Answers one `batch` request: every job probes the cache on the
-/// connection thread, misses are enqueued one by one through the same
-/// bounded admission queue as standalone requests, and replies are
-/// collected in job order. Admission is per job — when the queue fills
-/// mid-batch the jobs that fit keep running and the rest are rejected
-/// with `overloaded` + the load-scaled retry hint; a failing job
-/// (deadline, simulation error, malformed spec) fails only its slot.
-/// The batch envelope itself is `ok:true` whenever the request parsed;
-/// per-job outcomes and the summary counts tell the rest.
-fn batch_response(
-    inner: &Arc<Inner>,
-    work_tx: &SyncSender<WorkItem>,
-    rid: u64,
-    id: Option<&JsonValue>,
-    jobs: Vec<Result<BatchJob, String>>,
-) -> (String, bool) {
-    let total = jobs.len();
-    log_event(inner, rid, "batch", &[("jobs", total.into())]);
-    let mut slots = Vec::with_capacity(total);
-    let mut workloads = Workloads::new();
-    for (index, job) in jobs.into_iter().enumerate() {
-        let job = match job {
-            Ok(job) => job,
-            Err(message) => {
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(index, "bad_request", &message, None),
-                    outcome: "error",
-                });
-                continue;
-            }
-        };
-        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), job.cache_key.as_deref()) {
-            if let Some(payload) = cache.get(key) {
-                if let Ok(result) = String::from_utf8(payload) {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    log_event(
-                        inner,
-                        rid,
-                        "batch_cache_hit",
-                        &[("index", index.into()), ("key", key.into())],
-                    );
-                    slots.push(BatchSlot::Done {
-                        rendered: batch_job_ok(index, true, Some(key), &result),
-                        outcome: "cached",
-                    });
-                    continue;
-                }
-            }
-        }
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let cache_key = job.cache_key;
-        let item = WorkItem {
-            rid,
-            cmd: "batch",
-            kind: WorkKind::Job(Prepared::Run(Box::new(job.run.prepare(&mut workloads)))),
-            store_key: cache_key.clone(),
-            enqueued: Instant::now(),
-            reply: reply_tx,
-        };
-        // Same ordering rule as `work_response`: count the slot before
-        // try_send so a racing worker can't underflow the depth.
-        let depth = inner.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match work_tx.try_send(item) {
-            Err(TrySendError::Full(_)) => {
-                inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(
-                        index,
-                        "overloaded",
-                        &format!(
-                            "admission queue is full ({} slots)",
-                            inner.config.queue_capacity
-                        ),
-                        Some(inner.retry_after_hint()),
-                    ),
-                    outcome: "rejected",
-                });
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(index, "shutting_down", "daemon is draining", None),
-                    outcome: "error",
-                });
-            }
-            Ok(()) => {
-                log_event(
-                    inner,
-                    rid,
-                    "batch_enqueue",
-                    &[("index", index.into()), ("depth", depth.into())],
-                );
-                slots.push(BatchSlot::Pending {
-                    rx: reply_rx,
-                    cache_key,
-                });
-            }
-        }
-    }
-    let (mut succeeded, mut cached, mut failed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
-    let mut rendered_jobs = Vec::with_capacity(total);
-    for (index, slot) in slots.into_iter().enumerate() {
-        let (rendered, outcome) = match slot {
-            BatchSlot::Done { rendered, outcome } => (rendered, outcome),
-            BatchSlot::Pending { rx, cache_key } => match rx.recv() {
-                Ok(Ok(result)) => {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    (
-                        batch_job_ok(index, false, cache_key.as_deref(), &result),
-                        "ok",
-                    )
-                }
-                Ok(Err(failed)) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if failed.kind == "deadline_exceeded" {
-                        inner.metrics.deadline_kills.inc();
-                    }
-                    (
-                        batch_job_error(index, failed.kind, &failed.message, None),
-                        "error",
-                    )
-                }
-                Err(_) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    (
-                        batch_job_error(index, "internal", "worker dropped the job", None),
-                        "error",
-                    )
-                }
-            },
-        };
-        inner.metrics.count_batch_job(outcome);
-        match outcome {
-            "ok" => succeeded += 1,
-            "cached" => {
-                succeeded += 1;
-                cached += 1;
-            }
-            "rejected" => rejected += 1,
-            _ => failed += 1,
-        }
-        rendered_jobs.push(rendered);
-    }
-    let mut s = String::with_capacity(rendered_jobs.iter().map(String::len).sum::<usize>() + 192);
-    s.push_str("{\"ok\":true,\"cmd\":\"batch\"");
-    if let Some(id) = id {
-        s.push_str(",\"id\":");
-        s.push_str(&id.render());
-    }
-    s.push_str(&format!(
-        ",\"result\":{{\"total\":{total},\"succeeded\":{succeeded},\"cached\":{cached},\
-         \"failed\":{failed},\"rejected\":{rejected},\"jobs\":["
-    ));
-    s.push_str(&rendered_jobs.join(","));
-    s.push_str("]}}");
-    (s, true)
+    respond(
+        writer,
+        &envelope(Head::Request(Some(cmd), id.as_ref()), body),
+    )
 }
 
 fn respond(writer: &mut TcpStream, line: &str) -> bool {
@@ -1063,109 +705,319 @@ fn respond(writer: &mut TcpStream, line: &str) -> bool {
         .is_ok()
 }
 
-fn status_response(inner: &Arc<Inner>) -> JsonValue {
-    JsonValue::object([
-        ("ok", true.into()),
-        ("cmd", "status".into()),
+/// The `status` reply's members: live gauges and lifetime counters.
+fn status_fields(inner: &Inner) -> Vec<(&'static str, JsonValue)> {
+    let m = &inner.metrics;
+    let served = |count: &AtomicU64| JsonValue::from(count.load(Ordering::Relaxed));
+    let cache = match &inner.cache {
+        Some(cache) => {
+            let mut stats = cache.stats().to_json();
+            if let JsonValue::Object(fields) = &mut stats {
+                fields.push(("entries".into(), cache.len().into()));
+            }
+            stats
+        }
+        None => JsonValue::Null,
+    };
+    vec![
         ("protocol", PROTOCOL_VERSION.into()),
         (
             "uptime_ms",
             (inner.started.elapsed().as_millis() as u64).into(),
         ),
-        (
-            "queue_depth",
-            inner.queue_depth.load(Ordering::Relaxed).into(),
-        ),
+        ("queue_depth", inner.queue_depth().into()),
         ("queue_capacity", inner.config.queue_capacity.into()),
-        ("in_flight", inner.in_flight.load(Ordering::Relaxed).into()),
+        ("in_flight", m.in_flight.get().into()),
         ("workers", inner.config.workers.into()),
-        ("served_ok", inner.served_ok.load(Ordering::Relaxed).into()),
-        (
-            "served_err",
-            inner.served_err.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "rejected_overload",
-            inner.rejected_overload.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "bad_frames",
-            inner.bad_frames.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "connections",
-            inner.connections.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "cache",
-            match &inner.cache {
-                Some(cache) => {
-                    let mut stats = cache.stats().to_json();
-                    if let JsonValue::Object(fields) = &mut stats {
-                        fields.push(("entries".into(), cache.len().into()));
-                    }
-                    stats
-                }
-                None => JsonValue::Null,
-            },
-        ),
+        ("served_ok", served(&inner.served_ok)),
+        ("served_err", served(&inner.served_err)),
+        ("rejected_overload", m.rejected_overload.get().into()),
+        ("bad_frames", m.bad_frames.get().into()),
+        ("connections", m.connections.get().into()),
+        ("cache", cache),
         ("shutting_down", inner.shutting_down().into()),
-    ])
+    ]
 }
 
-/// `{"ok":true,...,"result":<result>}` with the cached/fresh result
-/// bytes embedded verbatim — the envelope is built by splicing, so a
-/// cache hit serves exactly the bytes a fresh run produced.
-fn ok_envelope(
-    cmd: &str,
-    id: Option<&JsonValue>,
-    cached: bool,
-    key: Option<&str>,
-    result: &str,
-) -> String {
-    let mut s = String::with_capacity(result.len() + 96);
-    s.push_str("{\"ok\":true,\"cmd\":\"");
-    s.push_str(cmd);
-    s.push('"');
-    if let Some(id) = id {
-        s.push_str(",\"id\":");
-        s.push_str(&id.render());
-    }
-    s.push_str(",\"cached\":");
-    s.push_str(if cached { "true" } else { "false" });
-    if let Some(key) = key {
-        s.push_str(",\"key\":\"");
-        s.push_str(key);
-        s.push('"');
-    }
-    s.push_str(",\"result\":");
-    s.push_str(result);
-    s.push('}');
-    s
+// ---------------------------------------------------------------------------
+// Admission and replies: one path for a standalone request and every
+// batch slot
+// ---------------------------------------------------------------------------
+
+/// One unit of admission — a standalone `run`/`trace`/`search`/`query`
+/// or one `batch` job — with the cache key it is probed under (`None`:
+/// `no_cache`, or a query). The key comes from the graph's digest, so a
+/// hit prepares nothing.
+struct Slot {
+    work: Work,
+    key: Option<String>,
 }
 
-fn error_response(
-    id: Option<&JsonValue>,
-    cmd: Option<&str>,
-    kind: &str,
-    message: &str,
-    retry_after_ms: Option<u64>,
+impl Slot {
+    /// A job's slot, keyed unless `doc` sets `no_cache`.
+    fn job(job: request::Request, doc: &JsonValue, digests: &KeyDigests) -> Result<Slot, String> {
+        let no_cache = field_bool(doc, "no_cache", false)?;
+        Ok(Slot {
+            key: (!no_cache).then(|| job.cache_key(&digests.digest(job.target().graph()))),
+            work: Work::Job(job),
+        })
+    }
+}
+
+/// A slot after [`admit`]: answered on the connection thread (a cache
+/// hit or a rejection), or queued with its worker's reply to come.
+enum Admitted {
+    Answered(Outcome),
+    Queued {
+        reply: Receiver<Result<String, Failed>>,
+        key: Option<String>,
+    },
+}
+
+/// How a slot ended.
+enum Outcome {
+    /// The result bytes, from the cache (`cached`) or a worker, and the
+    /// key they are stored under.
+    Served {
+        cached: bool,
+        key: Option<String>,
+        result: String,
+    },
+    /// A protocol error; `overloaded` carries the retry hint.
+    Failed {
+        kind: &'static str,
+        message: String,
+        retry_after_ms: Option<u64>,
+    },
+}
+
+impl Outcome {
+    fn failed(kind: &'static str, message: impl Into<String>) -> Self {
+        Outcome::Failed {
+            kind,
+            message: message.into(),
+            retry_after_ms: None,
+        }
+    }
+
+    fn body(self) -> Body {
+        match self {
+            Outcome::Served {
+                cached,
+                key,
+                result,
+            } => {
+                let mut fields = vec![("cached", cached.into())];
+                fields.extend(key.map(|key| ("key", key.into())));
+                (true, fields, Some(result))
+            }
+            Outcome::Failed {
+                kind,
+                message,
+                retry_after_ms,
+            } => {
+                let error = JsonValue::object([("kind", kind.into()), ("message", message.into())]);
+                let mut fields = vec![("error", error)];
+                fields.extend(retry_after_ms.map(|ms| ("retry_after_ms", ms.into())));
+                (false, fields, None)
+            }
+        }
+    }
+
+    fn render(self, head: Head<'_>) -> String {
+        envelope(head, self.body())
+    }
+}
+
+/// Admits one slot. The cache probe runs on the connection thread, so a
+/// hit takes no queue slot and prepares nothing. A miss prepares its
+/// jobs (sharing `workloads` with the rest of its batch) and is offered
+/// to the bounded queue: a full queue answers `overloaded` with the
+/// load-scaled retry hint, a closed one `shutting_down`. A batch slot's
+/// `index` rides its span events, and its worker runs it as `batch`.
+fn admit(
+    inner: &Arc<Inner>,
+    work_tx: &SyncSender<WorkItem>,
+    rid: u64,
+    index: Option<usize>,
+    slot: Slot,
+    workloads: &mut Workloads,
+) -> Admitted {
+    let log = |event: &str, field: (&str, JsonValue)| {
+        let mut fields = Vec::from_iter(index.map(|i| ("index", i.into())));
+        fields.push(field);
+        log_event(inner, rid, event, &fields);
+    };
+    let Slot { work, key } = slot;
+    if let (Some(cache), Some(k)) = (&inner.cache, key.as_deref()) {
+        if let Some(result) = cache.get(k).and_then(|bytes| String::from_utf8(bytes).ok()) {
+            inner.served_ok.fetch_add(1, Ordering::Relaxed);
+            log("cache_hit", ("key", k.into()));
+            return Admitted::Answered(Outcome::Served {
+                cached: true,
+                key,
+                result,
+            });
+        }
+    }
+    let (reply_tx, reply) = mpsc::sync_channel(1);
+    let item = WorkItem {
+        rid,
+        cmd: index.map_or(work.cmd(), |_| "batch"),
+        kind: work.prepare(workloads),
+        store_key: key.clone(),
+        enqueued: Instant::now(),
+        reply: reply_tx,
+    };
+    // The queue slot is counted *before* try_send: the worker may pull
+    // the item (and decrement) the instant the send lands, so counting
+    // afterwards could transiently drive the depth below zero.
+    let depth = inner.metrics.queue_depth.add(1);
+    match work_tx.try_send(item) {
+        Ok(()) => {
+            log("enqueue", ("depth", depth.into()));
+            Admitted::Queued { reply, key }
+        }
+        Err(refused) => {
+            inner.metrics.queue_depth.add(-1);
+            Admitted::Answered(match refused {
+                TrySendError::Full(_) => {
+                    inner.metrics.rejected_overload.inc();
+                    Outcome::Failed {
+                        kind: "overloaded",
+                        message: format!(
+                            "admission queue is full ({} slots)",
+                            inner.config.queue_capacity
+                        ),
+                        retry_after_ms: Some(inner.retry_after_hint()),
+                    }
+                }
+                TrySendError::Disconnected(_) => {
+                    Outcome::failed("shutting_down", "daemon is draining")
+                }
+            })
+        }
+    }
+}
+
+/// Settles an admitted slot: a queued slot waits for its worker's reply,
+/// which counts as `served_ok`, or as `served_err` plus a deadline kill
+/// when the watchdog ceiling tripped. A slot answered at admission was
+/// counted there.
+fn settle(inner: &Inner, admitted: Admitted) -> Outcome {
+    let (reply, key) = match admitted {
+        Admitted::Answered(outcome) => return outcome,
+        Admitted::Queued { reply, key } => (reply, key),
+    };
+    let failed = match reply.recv() {
+        Ok(Ok(result)) => {
+            inner.served_ok.fetch_add(1, Ordering::Relaxed);
+            return Outcome::Served {
+                cached: false,
+                key,
+                result,
+            };
+        }
+        Ok(Err(failed)) => failed,
+        Err(_) => Failed {
+            kind: "internal",
+            message: "worker dropped the request".into(),
+        },
+    };
+    inner.served_err.fetch_add(1, Ordering::Relaxed);
+    if failed.kind == "deadline_exceeded" {
+        inner.metrics.deadline_kills.inc();
+    }
+    Outcome::failed(failed.kind, failed.message)
+}
+
+/// The result of one `batch` request: every slot is admitted in job
+/// order — a malformed spec is answered `bad_request` in its own slot —
+/// and the admitted slots are settled in the same order. Admission is
+/// per slot, so when the queue fills mid-batch the slots that fit keep
+/// running and only the rest are rejected.
+fn batch_result(
+    inner: &Arc<Inner>,
+    work_tx: &SyncSender<WorkItem>,
+    rid: u64,
+    slots: Vec<Result<Slot, String>>,
 ) -> String {
-    let mut fields = vec![("ok", JsonValue::from(false))];
-    if let Some(cmd) = cmd {
-        fields.push(("cmd", cmd.into()));
+    let total = slots.len();
+    log_event(inner, rid, "batch", &[("jobs", total.into())]);
+    let mut workloads = Workloads::new();
+    let admitted: Vec<Admitted> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| match slot {
+            Ok(slot) => admit(inner, work_tx, rid, Some(index), slot, &mut workloads),
+            Err(message) => Admitted::Answered(Outcome::failed("bad_request", message)),
+        })
+        .collect();
+    let mut counts: HashMap<&str, u64> = HashMap::new();
+    let mut jobs = Vec::with_capacity(total);
+    for (index, slot) in admitted.into_iter().enumerate() {
+        let outcome = settle(inner, slot);
+        let label = match &outcome {
+            Outcome::Served { cached: true, .. } => "cached",
+            Outcome::Served { .. } => "ok",
+            Outcome::Failed {
+                kind: "overloaded", ..
+            } => "rejected",
+            Outcome::Failed { .. } => "error",
+        };
+        inner.metrics.count_batch_job(label);
+        *counts.entry(label).or_default() += 1;
+        jobs.push(outcome.render(Head::Slot(index)));
     }
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
+    let n = |label| counts.get(label).copied().unwrap_or(0);
+    format!(
+        "{{\"total\":{total},\"succeeded\":{},\"cached\":{},\"failed\":{},\
+         \"rejected\":{},\"jobs\":[{}]}}",
+        n("ok") + n("cached"),
+        n("cached"),
+        n("error"),
+        n("rejected"),
+        jobs.join(",")
+    )
+}
+
+/// What leads a reply object: a request's `cmd` (once its frame parsed)
+/// and `id` (when the frame carried one), or a batch slot's `index`.
+#[derive(Clone, Copy)]
+enum Head<'a> {
+    Request(Option<&'a str>, Option<&'a JsonValue>),
+    Slot(usize),
+}
+
+/// A reply after its head: whether it reports success, its members, and
+/// the result bytes spliced last.
+type Body = (bool, Vec<(&'static str, JsonValue)>, Option<String>);
+
+/// Renders every reply the daemon writes, and every slot of a batch
+/// reply: `{"ok",["cmd"],["id"],members…,["result"]}`, a batch slot
+/// leading with its `index` instead of `cmd` and `id`. The result bytes
+/// are spliced verbatim as the last member, so a cache hit serves exactly
+/// the bytes a fresh run rendered and a client can slice the result from
+/// the first `,"result":` to the closing brace.
+fn envelope(head: Head<'_>, (ok, fields, result): Body) -> String {
+    let mut members: Vec<(&str, JsonValue)> = Vec::with_capacity(fields.len() + 3);
+    match head {
+        Head::Slot(index) => members.extend([("index", index.into()), ("ok", ok.into())]),
+        Head::Request(cmd, id) => {
+            members.push(("ok", ok.into()));
+            members.extend(cmd.map(|cmd| ("cmd", cmd.into())));
+            members.extend(id.map(|id| ("id", id.clone())));
+        }
     }
-    fields.push((
-        "error",
-        JsonValue::object([("kind", kind.into()), ("message", message.into())]),
-    ));
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", ms.into()));
+    members.extend(fields);
+    let mut line = JsonValue::object(members).render();
+    if let Some(result) = result {
+        line.pop();
+        line.push_str(",\"result\":");
+        line.push_str(&result);
+        line.push('}');
     }
-    JsonValue::object(fields).render()
+    line
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,38 +1029,65 @@ enum Request {
     Status,
     Metrics,
     Shutdown,
-    /// A `run`/`trace`/`search`/`query`, probed in the cache under
-    /// `cache_key` before anything is prepared.
-    Work {
-        cmd: &'static str,
-        work: Work,
-        cache_key: Option<String>,
-    },
-    /// A sweep: many `run`-shaped jobs answered in one reply. Each slot
-    /// is either a parsed job or the `bad_request` message that job spec
-    /// earned — a malformed job fails only its own slot, in keeping with
-    /// the per-job containment contract.
-    Batch {
-        jobs: Vec<Result<BatchJob, String>>,
-    },
+    /// A standalone `run`/`trace`/`search`/`query`.
+    Work(Slot),
+    /// A sweep: many `run`-shaped slots answered in one reply. Each is a
+    /// parsed slot or the `bad_request` message its job spec earned — a
+    /// malformed job fails only its own slot, in keeping with the
+    /// per-job containment contract.
+    Batch(Vec<Result<Slot, String>>),
     /// Millisecond plan selection, answered on the connection thread —
     /// never a simulation worker, so advice stays available under full
     /// load.
     Advise(Target),
 }
 
-/// Parses one frame into a request: the envelope (`cmd`, `id`) and the
-/// daemon's own fields (`no_cache`, batch and query shapes) here, the
-/// job fields in the request core — every reject happens before any
-/// simulation work starts. Cache keys come from `digests`, which learns
-/// each graph's digest the first time a request names it.
+impl Request {
+    fn cmd(&self) -> &'static str {
+        match self {
+            Request::Ping => "ping",
+            Request::Status => "status",
+            Request::Metrics => "metrics",
+            Request::Shutdown => "shutdown",
+            Request::Work(slot) => slot.work.cmd(),
+            Request::Batch(_) => "batch",
+            Request::Advise(_) => "advise",
+        }
+    }
+}
+
+/// Parses one frame into its `id` and its request. The `id` — a string
+/// or integer — is taken from any frame that is a JSON object, so even a
+/// rejected request's reply echoes it. The request is parsed for its
+/// envelope (`cmd`) and the daemon's own fields (`no_cache`, batch and
+/// query shapes) here, its job fields in the request core — every reject
+/// happens before any simulation work starts. Cache keys come from
+/// `digests`, which learns each graph's digest the first time a request
+/// names it.
 fn parse_request(
     frame: &[u8],
     default_deadline: Option<Cycle>,
     digests: &KeyDigests,
-) -> Result<(Option<JsonValue>, Request), String> {
-    let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
-    let doc = JsonValue::parse(text).map_err(|e| format!("frame is not valid JSON: {e}"))?;
+) -> (Option<JsonValue>, Result<Request, String>) {
+    let Ok(text) = std::str::from_utf8(frame) else {
+        return (None, Err("frame is not UTF-8".into()));
+    };
+    let doc = match JsonValue::parse(text) {
+        Ok(doc) => doc,
+        Err(e) => return (None, Err(format!("frame is not valid JSON: {e}"))),
+    };
+    let id = match doc.get("id") {
+        Some(id @ (JsonValue::Str(_) | JsonValue::UInt(_) | JsonValue::Int(_))) => Some(id.clone()),
+        _ => None,
+    };
+    (id, parse_command(&doc, default_deadline, digests))
+}
+
+fn parse_command(
+    doc: &JsonValue,
+    default_deadline: Option<Cycle>,
+    digests: &KeyDigests,
+) -> Result<Request, String> {
     if doc.get("cmd").is_none() {
         return Err("request must be an object with a \"cmd\" field".into());
     }
@@ -1216,34 +1095,23 @@ fn parse_request(
         .get("cmd")
         .and_then(JsonValue::as_str)
         .ok_or("\"cmd\" must be a string")?;
-    let id = doc.get("id").and_then(|v| match v {
-        JsonValue::Str(_) | JsonValue::UInt(_) | JsonValue::Int(_) => Some(v.clone()),
-        _ => None,
-    });
-    let req = match cmd {
+    Ok(match cmd {
         "ping" => Request::Ping,
         "status" => Request::Status,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "query" => Request::Work {
-            cmd: "query",
-            work: Work::Query(parse_query(&doc)?),
-            cache_key: None,
-        },
-        "batch" => parse_batch(&doc, default_deadline, digests)?,
-        "advise" => Request::Advise(request::parse_target(&doc)?),
-        _ => {
-            let job = request::parse(&doc, default_deadline)?;
-            let no_cache = field_bool(&doc, "no_cache", false)?;
-            Request::Work {
-                cmd: job.cmd(),
-                cache_key: (!no_cache)
-                    .then(|| job.cache_key(&digests.digest(job.target().graph()))),
-                work: Work::Job(job),
-            }
-        }
-    };
-    Ok((id, req))
+        "query" => Request::Work(Slot {
+            work: Work::Query(parse_query(doc)?),
+            key: None,
+        }),
+        "batch" => Request::Batch(parse_batch(doc, default_deadline, digests)?),
+        "advise" => Request::Advise(request::parse_target(doc)?),
+        _ => Request::Work(Slot::job(
+            request::parse(doc, default_deadline)?,
+            doc,
+            digests,
+        )?),
+    })
 }
 
 /// Cache-key digests of the graphs requests have named, one per
@@ -1272,30 +1140,27 @@ impl KeyDigests {
     }
 }
 
-/// A parsed `run`/`trace`/`search`/`query` before its cache probe:
-/// [`Work::prepare`] turns it into admitted work, and only a miss calls
-/// it.
+/// A slot's work before its cache probe: [`Work::prepare`] turns it into
+/// admitted work, and only a miss calls it.
 enum Work {
     Job(request::Request),
     Query(QueryFilter),
 }
 
 impl Work {
-    fn prepare(self) -> WorkKind {
+    fn cmd(&self) -> &'static str {
         match self {
-            Work::Job(job) => WorkKind::Job(job.prepare(&mut Workloads::new())),
+            Work::Job(job) => job.cmd(),
+            Work::Query(_) => "query",
+        }
+    }
+
+    fn prepare(self, workloads: &mut Workloads) -> WorkKind {
+        match self {
+            Work::Job(job) => WorkKind::Job(job.prepare(workloads)),
             Work::Query(filter) => WorkKind::Query { filter },
         }
     }
-}
-
-/// One `batch` slot: the standalone `run` request's parse and key, so
-/// a batch job's cache key, deadline and rendered payload are
-/// byte-for-byte those of the equivalent individual request.
-struct BatchJob {
-    run: RunRequest,
-    /// The run's key; `None` with `no_cache`.
-    cache_key: Option<String>,
 }
 
 /// Fields a batch request may set once for every job (anything but the
@@ -1378,12 +1243,14 @@ fn expand_sweep(sweep: &JsonValue) -> Result<Vec<JsonValue>, String> {
 /// template (exactly one of the two), every other top-level field acting
 /// as a per-job default. Structural problems (no jobs, both forms, over
 /// the cap) reject the request; a single malformed job spec only poisons
-/// its own slot.
+/// its own slot. Each job parses and keys like the standalone `run`, so
+/// its cache key, deadline and rendered payload are byte-for-byte those
+/// of the equivalent individual request.
 fn parse_batch(
     doc: &JsonValue,
     default_deadline: Option<Cycle>,
     digests: &KeyDigests,
-) -> Result<Request, String> {
+) -> Result<Vec<Result<Slot, String>>, String> {
     let job_docs = match (doc.get("jobs"), doc.get("sweep")) {
         (Some(_), Some(_)) => {
             return Err("\"jobs\" and \"sweep\" are mutually exclusive".into());
@@ -1406,18 +1273,12 @@ fn parse_batch(
             job_docs.len()
         ));
     }
-    let parse_job = |job: &JsonValue| -> Result<BatchJob, String> {
+    let parse_job = |job: &JsonValue| -> Result<Slot, String> {
         let merged = merged_job_doc(job, doc)?;
         let run = RunRequest::parse(&merged, default_deadline)?;
-        let no_cache = field_bool(&merged, "no_cache", false)?;
-        Ok(BatchJob {
-            cache_key: (!no_cache).then(|| run.cache_key(&digests.digest(run.target.graph()))),
-            run,
-        })
+        Slot::job(request::Request::Run(run), &merged, digests)
     };
-    Ok(Request::Batch {
-        jobs: job_docs.iter().map(parse_job).collect(),
-    })
+    Ok(job_docs.iter().map(parse_job).collect())
 }
 
 /// The catalog dimension a `query` aggregation groups on.
@@ -1542,8 +1403,8 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
             guard.recv()
         };
         let Ok(item) = item else { return };
-        inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        inner.in_flight.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.queue_depth.add(-1);
+        inner.metrics.in_flight.add(1);
         let queue_wait_us = item.enqueued.elapsed().as_micros() as u64;
         inner.metrics.queue_wait_us.observe(queue_wait_us);
         log_event(
@@ -1586,7 +1447,7 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
         // The handler may have given up (connection died); a dead
         // receiver just drops the result.
         let _ = item.reply.send(outcome);
-        inner.in_flight.fetch_sub(1, Ordering::Relaxed);
+        inner.metrics.in_flight.add(-1);
     }
 }
 
@@ -1607,7 +1468,7 @@ fn maybe_flush_index(inner: &Arc<Inner>) {
     if dirty == 0 {
         return;
     }
-    if dirty < INDEX_FLUSH_EVERY && inner.queue_depth.load(Ordering::Relaxed) > 0 {
+    if dirty < INDEX_FLUSH_EVERY && inner.queue_depth() > 0 {
         return; // debounce: more work is queued, batch the stores up
     }
     if inner.index_dirty.swap(0, Ordering::Relaxed) == 0 {
@@ -1926,26 +1787,13 @@ pub fn export_dataset(cache_dir: &Path) -> io::Result<JsonValue> {
 // Observability: the registry snapshot and log spans
 // ---------------------------------------------------------------------------
 
-/// The registry with its mirrored instruments brought current: gauges
-/// from the live atomics, connection/back-pressure/framing counters and
-/// cache behavior from their sources of truth. The live-updated
-/// instruments (request counts, latency histograms, deadline kills) are
-/// already current.
+/// The registry with the result cache's own counters mirrored in; every
+/// other instrument is updated where its event happens.
 fn metrics_snapshot(inner: &Inner) -> MetricsSnapshot {
-    let m = &inner.metrics;
-    m.queue_depth
-        .set(inner.queue_depth.load(Ordering::Relaxed) as i64);
-    m.in_flight
-        .set(inner.in_flight.load(Ordering::Relaxed) as i64);
-    m.connections
-        .store(inner.connections.load(Ordering::Relaxed));
-    m.rejected_overload
-        .store(inner.rejected_overload.load(Ordering::Relaxed));
-    m.bad_frames.store(inner.bad_frames.load(Ordering::Relaxed));
     if let Some(cache) = &inner.cache {
-        m.observe_cache(&cache.stats());
+        inner.metrics.observe_cache(&cache.stats());
     }
-    m.snapshot()
+    inner.metrics.snapshot()
 }
 
 /// One structured span event as a single JSON line on stderr, gated on

@@ -1603,3 +1603,174 @@ fn restarted_daemon_hits_on_a_graphs_first_and_later_requests() {
     assert_eq!((cache.hits, cache.misses, cache.stores), (7, 0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// One admission path: envelopes and counters
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_reply_echoes_the_frame_id_after_cmd() {
+    let (addr, handle) = spawn_service(test_config(None));
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    for (frame, prefix) in [
+        (
+            r#"{"cmd":"ping","id":7}"#,
+            r#"{"ok":true,"cmd":"ping","id":7,"#,
+        ),
+        (
+            r#"{"cmd":"status","id":"s-1"}"#,
+            r#"{"ok":true,"cmd":"status","id":"s-1","#,
+        ),
+        (
+            r#"{"cmd":"metrics","id":8}"#,
+            r#"{"ok":true,"cmd":"metrics","id":8,"protocol":4,"#,
+        ),
+        // A rejected frame has no command to name, but its id is echoed.
+        (
+            r#"{"cmd":"run","id":10,"benchmark":"nope"}"#,
+            r#"{"ok":false,"id":10,"error":{"kind":"bad_request","#,
+        ),
+        (
+            r#"{"cmd":"frobnicate","id":-3}"#,
+            r#"{"ok":false,"id":-3,"error":{"kind":"bad_request","#,
+        ),
+        // Only a string or an integer is an id.
+        (
+            r#"{"cmd":"ping","id":1.5}"#,
+            r#"{"ok":true,"cmd":"ping","protocol":4}"#,
+        ),
+        (
+            r#"{"cmd":"ping","id":[1]}"#,
+            r#"{"ok":true,"cmd":"ping","protocol":4}"#,
+        ),
+    ] {
+        let reply = client.request_line(frame).expect("reply");
+        assert!(reply.starts_with(prefix), "{frame} -> {reply}");
+    }
+    let reply = client
+        .request_line(r#"{"cmd":"shutdown","id":"bye"}"#)
+        .expect("shutdown");
+    assert_eq!(
+        reply,
+        r#"{"ok":true,"cmd":"shutdown","id":"bye","draining":true}"#
+    );
+    handle.join().expect("service thread");
+}
+
+/// Waits until the daemon's `status` satisfies `ready`.
+fn wait_for_status(addr: &SocketAddr, ready: impl Fn(&JsonValue) -> bool) {
+    let mut client = ServiceClient::connect(addr).expect("connect for status");
+    for _ in 0..1_000 {
+        let status = parse(&client.request_line(r#"{"cmd":"status"}"#).expect("status"));
+        if ready(&status) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("daemon never reached the awaited state");
+}
+
+/// Drives one daemon with a cache hit, a miss, a request the full queue
+/// refuses and a blown deadline — as standalone requests, or as the slots
+/// of one batch — and returns its drain summary. A held worker makes the
+/// refusal deterministic: the miss and the deadline fill both queue slots
+/// before the third job is offered.
+fn admission_mix(as_batch: bool) -> ServiceSummary {
+    let dir = std::env::temp_dir().join(format!("spade_svc_mix_{as_batch}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        workers: 1,
+        queue_capacity: 2,
+        worker_delay: Some(Duration::from_millis(800)),
+        ..test_config(Some(&dir))
+    };
+    let (addr, handle) = spawn_service(config);
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    // Stores the entry the hit reads.
+    let warm = parse(&client.request_line(RUN_MYC).expect("warm"));
+    assert_eq!(warm.get("ok").and_then(JsonValue::as_bool), Some(true));
+    let blocker = std::thread::spawn(move || {
+        let mut c = ServiceClient::connect(&addr).expect("connect blocker");
+        c.request_line(
+            r#"{"cmd":"run","benchmark":"pac","k":16,"pes":4,"scale":"tiny","no_cache":true}"#,
+        )
+        .expect("blocker")
+    });
+    wait_for_status(&addr, |s| {
+        s.get("in_flight").and_then(JsonValue::as_u64) == Some(1)
+            && s.get("queue_depth").and_then(JsonValue::as_u64) == Some(0)
+    });
+    let jobs = [
+        r#"{"benchmark":"kro","k":16,"pes":4,"scale":"tiny"}"#,
+        r#"{"benchmark":"myc","k":16,"pes":4,"scale":"tiny","deadline_cycles":50}"#,
+        r#"{"benchmark":"liv","k":16,"pes":4,"scale":"tiny"}"#,
+        r#"{"benchmark":"myc","k":16,"pes":4,"scale":"tiny"}"#,
+    ];
+    let kinds: Vec<Option<String>> = if as_batch {
+        let line = format!(r#"{{"cmd":"batch","jobs":[{}]}}"#, jobs.join(","));
+        jobs_of(&parse(&client.request_line(&line).expect("batch")))
+            .iter()
+            .map(error_kind)
+            .collect()
+    } else {
+        let as_run = |job: &str| format!(r#"{{"cmd":"run",{}"#, &job[1..]);
+        let queued: Vec<_> = jobs[..2]
+            .iter()
+            .map(|job| {
+                let line = as_run(job);
+                std::thread::spawn(move || {
+                    let mut c = ServiceClient::connect(&addr).expect("connect queued");
+                    parse(&c.request_line(&line).expect("queued"))
+                })
+            })
+            .collect();
+        wait_for_status(&addr, |s| {
+            s.get("queue_depth").and_then(JsonValue::as_u64) == Some(2)
+        });
+        let refused = parse(&client.request_line(&as_run(jobs[2])).expect("refused"));
+        let hit = parse(&client.request_line(&as_run(jobs[3])).expect("hit"));
+        let mut replies: Vec<JsonValue> = queued
+            .into_iter()
+            .map(|t| t.join().expect("queued thread"))
+            .collect();
+        replies.extend([refused, hit]);
+        replies.iter().map(error_kind).collect()
+    };
+    assert_eq!(
+        kinds,
+        [
+            None,
+            Some("deadline_exceeded".into()),
+            Some("overloaded".into()),
+            None
+        ]
+    );
+    let blocker = parse(&blocker.join().expect("blocker thread"));
+    assert_eq!(blocker.get("ok").and_then(JsonValue::as_bool), Some(true));
+    let summary = shutdown_and_join(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+    summary
+}
+
+fn error_kind(reply: &JsonValue) -> Option<String> {
+    let kind = reply.get("error")?.get("kind")?.as_str()?;
+    Some(kind.to_string())
+}
+
+#[test]
+fn standalone_requests_and_batch_slots_move_the_same_counters() {
+    let counters = |s: &ServiceSummary| {
+        (
+            s.served_ok,
+            s.served_err,
+            s.rejected_overload,
+            s.metrics.counter("spade_deadline_kills_total", &[]),
+        )
+    };
+    let standalone = counters(&admission_mix(false));
+    let batch = counters(&admission_mix(true));
+    assert_eq!(standalone, batch);
+    // Warm-up, blocker, hit and miss served; the deadline failed; the
+    // refusal is back-pressure, not a failure.
+    assert_eq!(standalone, (4, 1, 1, Some(1)));
+}

@@ -18,7 +18,8 @@ impl Args {
     /// # Errors
     ///
     /// Returns a message for a positional argument, a flag the command
-    /// does not take, or a value flag missing its value.
+    /// does not take, a value flag missing its value, or a value flag
+    /// given twice (which value was meant is a guess, so none is taken).
     pub fn parse(argv: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
@@ -34,7 +35,9 @@ impl Args {
                 let value = argv
                     .get(i + 1)
                     .ok_or_else(|| format!("--{name} needs a value"))?;
-                out.values.insert(name.to_string(), value.clone());
+                if out.values.insert(name.to_string(), value.clone()).is_some() {
+                    return Err(format!("flag '--{name}' given twice"));
+                }
                 i += 2;
             } else {
                 return Err(format!("unknown flag '--{name}'"));
@@ -108,6 +111,20 @@ mod tests {
         assert_eq!(err, "unknown flag '--json'");
         let err = Args::parse(&argv(&["--k"]), &[], &["json"]).unwrap_err();
         assert_eq!(err, "unknown flag '--k'");
+    }
+
+    #[test]
+    fn repeated_value_flags_are_rejected_by_name() {
+        let err = Args::parse(
+            &argv(&["--benchmark", "myc", "--k", "16", "--benchmark", "kro"]),
+            &["benchmark", "k"],
+            &[],
+        )
+        .unwrap_err();
+        assert_eq!(err, "flag '--benchmark' given twice");
+        // The same value twice is still a repeat.
+        let err = Args::parse(&argv(&["--k", "16", "--k", "16"]), &["k"], &[]).unwrap_err();
+        assert_eq!(err, "flag '--k' given twice");
     }
 
     #[test]

@@ -39,8 +39,7 @@ pub const USAGE: &str = "usage:
                    [--barriers] [--deadline-cycles N] [--window 256]
                    [--out <file.trace.json>]
   spade-cli advise --benchmark <name> [--k 32] [--pes 56] [--scale ...]
-                   [--fast|--exact] [--model FILE] [--top-n 5] [--exhaustive]
-                   [--format json|text]
+                   [--exact] [--model FILE] [--top-n 5] [--format json|text]
   spade-cli search --benchmark <name> [--k 32] [--pes 56] [--scale ...] [--full]
                    [--deadline-cycles N] [--format json|text]
                    [--telemetry <window>]
@@ -83,8 +82,10 @@ executor in-process, so --format json prints the daemon's `result` bytes:
 host_wall_ns reads 0 (text output adds the host wall clock), and advise
 carries scale and features on both. Both front ends take k <= 4096 and
 pes <= 1024; --deadline-cycles 0 means no ceiling. --telemetry adds a
-series that no daemon request reads; advise --exact simulates, so only
-the CLI offers it.
+series that no daemon request reads. advise --exact simulates every
+candidate (the --model's --top-n when a model loads), so only the CLI
+offers it. A value flag given twice is an error that names it; trace's
+<name> is its --benchmark, so trace <name> --benchmark <other> is one.
 
 benchmarks: asi liv ork pap del kro myc pac roa ser";
 
@@ -288,10 +289,11 @@ fn info(argv: &[String]) -> Result<(), String> {
 /// at `ui.perfetto.dev`.
 fn local_job(argv: &[String], name: &'static str, fields: &[Field]) -> Result<(), String> {
     let args = if name == "trace" {
-        // Appended, so a positional benchmark wins over a `--benchmark`.
+        // The positional name is a `--benchmark`, so giving both is a
+        // repeated flag and fails by name.
         let argv = match argv.split_first() {
             Some((first, rest)) if !first.starts_with("--") => {
-                [rest, &["--benchmark".to_string(), first.clone()]].concat()
+                [&["--benchmark".to_string(), first.clone()], rest].concat()
             }
             _ => argv.to_vec(),
         };
@@ -495,30 +497,23 @@ fn load_model_flag(args: &Args) -> Option<CostModel> {
     }
 }
 
-/// `spade-cli advise`: three-tier plan selection. The default (`--fast`)
-/// path is the daemon's `advise` request and never simulates — a trained
-/// `--model` (when it loads and is confident) ranks the candidate plans
-/// in microseconds, the structural heuristic answers otherwise. `--exact`
-/// is the demoted verification path: candidates are *simulated*
-/// (model-pruned to `--top-n` unless `--exhaustive`) and the measured
-/// optimum is reported as the `exhaustive` tier.
+/// `spade-cli advise`: three-tier plan selection. By default it is the
+/// daemon's `advise` request and never simulates — a trained `--model`
+/// (when it loads and is confident) ranks the candidate plans in
+/// microseconds, the structural heuristic answers otherwise. `--exact` is
+/// the demoted verification path: candidates are *simulated* and the
+/// measured optimum is reported as the `exhaustive` tier. With a model
+/// the candidates are pruned to its `--top-n`; without one (or with
+/// `--top-n 0`) every candidate runs.
 fn advise_cmd(argv: &[String]) -> Result<(), String> {
-    let args = parse_args(
-        argv,
-        ADVISE,
-        &["model", "top-n", "format"],
-        &["fast", "exact", "exhaustive"],
-    )?;
-    if args.has("fast") && args.has("exact") {
-        return Err("--fast and --exact are mutually exclusive".into());
-    }
+    let args = parse_args(argv, ADVISE, &["model", "top-n", "format"], &["exact"])?;
     let json = parse_format(&args)?;
     let target = request::parse_target(&request_doc(cmd("advise"), ADVISE, &args)?)?;
     let top_n: usize = args.get_parsed("top-n", spade_bench::runner::PRUNE_TOP_N)?;
     let model = load_model_flag(&args);
     let ranker = model.as_ref().map(|m| m as &dyn PlanRanker);
     let advised = if args.has("exact") {
-        Advised::exact(&target, ranker.filter(|_| !args.has("exhaustive")), top_n)
+        Advised::exact(&target, ranker, top_n)
     } else {
         request::advise(&target, ranker)?
     };
@@ -584,12 +579,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
     // `--model` arms the advise request's model tier; a file that fails
     // to load logs a warning at bind and the heuristic answers instead.
     config.model_path = args.get("model").map(std::path::PathBuf::from);
-    // `--log-json` turns the request log spans on explicitly; the
-    // SPADE_LOG=json environment default (already in `config`) stays
-    // effective either way.
-    if args.has("log-json") {
-        config.log_json = true;
-    }
+    config.log_json = args.has("log-json");
     service::install_termination_handler();
     let svc = service::Service::bind(&addr, config).map_err(|e| format!("{addr}: bind: {e}"))?;
     let local = svc.local_addr().map_err(|e| e.to_string())?;
@@ -1584,6 +1574,13 @@ mod tests {
         // `--json` was a second spelling of `--format json`.
         let err = dispatch(&argv(&["run", "--benchmark", "myc", "--json"])).unwrap_err();
         assert!(err.contains("'--json'"), "{err}");
+        // `advise --fast` was the default spelled out, and `--exhaustive`
+        // what `--exact` without `--model` already does.
+        for flag in ["--fast", "--exhaustive"] {
+            let err =
+                dispatch(&argv(&["advise", "--benchmark", "myc", "--exact", flag])).unwrap_err();
+            assert!(err.contains(&format!("'{flag}'")), "{err}");
+        }
         // A search reads no kernel or plan knobs, locally or on the wire.
         for client in [false, true] {
             for flag in [
@@ -1649,18 +1646,28 @@ mod tests {
             "--pes",
             "4",
             "--exact",
-            "--exhaustive",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn repeated_flags_fail_by_name() {
         let err = dispatch(&argv(&[
-            "advise",
+            "run",
             "--benchmark",
             "myc",
-            "--fast",
-            "--exact",
+            "--benchmark",
+            "kro",
+            "--k",
+            "16",
+            "--pes",
+            "4",
         ]))
         .unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+        assert_eq!(err, "flag '--benchmark' given twice");
+        // `trace`'s positional name is its `--benchmark`.
+        let err = dispatch(&argv(&["trace", "myc", "--benchmark", "kro"])).unwrap_err();
+        assert_eq!(err, "flag '--benchmark' given twice");
     }
 
     /// The full offline loop: a swept cache (with a stale index and one

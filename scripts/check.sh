@@ -18,12 +18,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test -q"
 cargo test --workspace -q
 
-echo "== benchmark crate tests (perfbench, release)"
-# perfbench is a workspace of its own that links spade-bench's public
-# API; building and testing it here catches a break in that API before
-# the benchmark runs.
-cargo test --release --manifest-path perfbench/Cargo.toml \
-  --target-dir target/perfbench -q
+echo "== benchmark self-test (perfbench, release)"
+# `cargo test --release` of the perfbench crate (a workspace of its own
+# that links spade-bench's public API), then a one-second smoke of every
+# workload, traced and untraced; the serve smoke byte-checks every result
+# the daemon stores, and its key, against an in-process simulation.
+python3 perfbench/run.py --selftest
 
 echo "== fault-injection stress (release, auditor on)"
 SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
