@@ -6,8 +6,7 @@
 //! * a real dual-socket **Intel Ice Lake** server (56 cores) running MKL
 //!   SpMM / TACO SDDMM — modeled here as a timing simulation of 56
 //!   out-of-order cores on the same memory-hierarchy substrate SPADE uses
-//!   ([`cpu`]), with actual multi-threaded kernels as the functional oracle
-//!   ([`cpu_ref`]);
+//!   ([`cpu`]);
 //! * a real **NVIDIA V100** running cuSPARSE/dgSPARSE — modeled as a
 //!   bandwidth-roofline with an L2 reuse filter ([`gpu`]), since SpMM and
 //!   SDDMM are bandwidth-bound on GPUs;
@@ -23,7 +22,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cpu;
-pub mod cpu_ref;
 pub mod gpu;
 pub mod sextans;
 pub mod transfer;

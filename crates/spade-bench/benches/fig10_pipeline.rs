@@ -70,7 +70,7 @@ fn main() {
                     }
                     let mut cfg = SystemConfig::table4_cfg(&base, 4);
                     cfg.mem.link_latency = ns_to_cycles(ll_ns);
-                    runner::find_opt(&cfg, w, Primitive::Spmm, true).1
+                    runner::find_opt(&cfg, w, Primitive::Spmm, true, None, 0).1
                 } else {
                     let mut cfg = SystemConfig::table4_cfg(&base, level);
                     cfg.mem.link_latency = ns_to_cycles(ll_ns);

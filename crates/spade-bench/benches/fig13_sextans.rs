@@ -34,7 +34,7 @@ fn main() {
     for b in benches {
         let w = Workload::prepare(b, scale, 32);
         let s = sextans.run_spmm(&w.a, w.b_for_spmm());
-        let (_, opt) = runner::find_opt(&cfg, &w, Primitive::Spmm, true);
+        let (_, opt) = runner::find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
 
         let util_ratio = opt.dram_utilization / s.report.utilization.max(1e-9);
         let access_ratio = opt.dram_accesses as f64 / s.report.dram_accesses.max(1) as f64;

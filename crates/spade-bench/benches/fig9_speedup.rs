@@ -6,11 +6,10 @@
 //! over the GPU. Low-RU matrices favour the GPU's higher bandwidth;
 //! high/medium-RU matrices favour SPADE Opt's flexibility.
 //!
-//! All SPADE simulations for one panel (per graph: Base + the Opt
-//! candidate sweep + the scaled-up SPADE2 Base) go through the parallel
-//! experiment engine as one job list; the Base job is Arc-identical to
-//! the candidate sweep's trailing Base entry, so the engine simulates it
-//! once per graph.
+//! All SPADE simulations for one panel (per graph: the Opt candidate
+//! sweep + the scaled-up SPADE2 Base) go through the parallel experiment
+//! engine as one job list. There is no separate Base job: Base is the
+//! sweep's trailing entry, so each graph simulates it once.
 
 use std::sync::Arc;
 

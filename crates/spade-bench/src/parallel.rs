@@ -16,15 +16,6 @@
 //! order. `ParallelRunner::new(1)` is the reference serial path; the
 //! `parallel_determinism` test pins the equivalence.
 //!
-//! # De-duplication
-//!
-//! Sweeps repeat work: the Opt search re-runs the Base plan that `run_base`
-//! already measured, and clamped search spaces can collapse distinct knob
-//! settings into the same effective plan. Jobs that are exactly equal —
-//! same workload (by `Arc` identity), same config (by `Arc` identity), same
-//! plan and primitive — are simulated once and the report is fanned out to
-//! every duplicate slot.
-//!
 //! # Thread count
 //!
 //! `SPADE_THREADS` overrides the worker count; the default is the host's
@@ -247,44 +238,13 @@ impl Job {
         self
     }
 
-    /// Identity key for de-duplication: workload and config by pointer
-    /// (prepared objects are shared, so pointer identity is object
-    /// identity), plan, primitive, and observability options by value —
-    /// a traced job never shares an execution with an untraced one, so
-    /// each gets the artifacts it asked for.
-    #[allow(clippy::type_complexity)]
-    fn dedup_key(
-        &self,
-    ) -> (
-        usize,
-        usize,
-        Primitive,
-        spade_core::ExecutionPlan,
-        Option<Cycle>,
-        bool,
-        bool,
-        Option<Cycle>,
-    ) {
-        (
-            Arc::as_ptr(&self.workload) as usize,
-            Arc::as_ptr(&self.config) as usize,
-            self.primitive,
-            self.plan,
-            self.telemetry_window,
-            self.trace,
-            self.naive_loop,
-            self.deadline_cycles,
-        )
-    }
-
     /// Content-addressed identity of this job, usable as a persistent
     /// cache key: a 32-hex-digit digest over the workload *contents*
     /// (matrix shape and triplets, dense row size), the machine
     /// configuration, the plan, the primitive, the deadline, and a key
-    /// schema version. Where `Job::dedup_key` compares `Arc` pointers —
-    /// identity within one process — this hashes what the pointers point
-    /// at, so the same simulation maps to the same key across processes,
-    /// restarts and hosts.
+    /// schema version. It hashes what the job's `Arc`s point at, not the
+    /// pointers, so the same simulation maps to the same key across
+    /// processes, restarts and hosts.
     ///
     /// Observability options (telemetry, trace) and the naive-loop oracle
     /// switch are deliberately excluded: neither changes a report's
@@ -522,9 +482,8 @@ impl ParallelRunner {
 
     /// Runs every job and returns the reports in job order.
     ///
-    /// Duplicate jobs (see module docs) are simulated once. With one
-    /// worker this is exactly the serial loop; with more, workers pull
-    /// unique jobs from a shared queue but the output order — and every
+    /// With one worker this is exactly the serial loop; with more, workers
+    /// pull jobs from a shared queue but the output order — and every
     /// simulated metric — is independent of the interleaving.
     ///
     /// # Panics
@@ -543,7 +502,7 @@ impl ParallelRunner {
     /// a panic inside the simulator — costs only its own slot, never the
     /// sweep. A panicking job is retried once (a crashed worker thread
     /// would otherwise lose its queue slot); deterministic errors are not
-    /// retried. Duplicate jobs share one execution, including its error.
+    /// retried.
     ///
     /// Results are stored by job index, so the outcome is independent of
     /// the worker count and scheduling order.
@@ -559,42 +518,20 @@ impl ParallelRunner {
     /// job requested. Artifacts come from the per-job single-threaded
     /// simulation, so they are bit-identical for every worker count.
     pub fn run_outputs(&self, jobs: &[Job]) -> Vec<Result<JobOutput, JobError>> {
-        // Map every job slot to a unique-work index.
-        let mut unique: Vec<&Job> = Vec::new();
-        let mut keys = Vec::new();
-        let mut slot_to_unique = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let key = job.dedup_key();
-            match keys.iter().position(|k| *k == key) {
-                Some(i) => slot_to_unique.push(i),
-                None => {
-                    keys.push(key);
-                    unique.push(job);
-                    slot_to_unique.push(unique.len() - 1);
-                }
-            }
-        }
-
-        let results = self.run_tasks(unique.len(), |i| {
-            unique[i].try_execute_full().map_err(|e| e.message)
-        });
-        let results: Vec<Result<JobOutput, JobError>> = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.map_err(|te| JobError {
-                    workload: unique[i].workload.name.clone(),
-                    primitive: unique[i].primitive,
-                    message: te.message,
-                    attempts: te.attempts,
-                })
+        self.run_tasks(jobs.len(), |i| {
+            jobs[i].try_execute_full().map_err(|e| e.message)
+        })
+        .into_iter()
+        .zip(jobs)
+        .map(|(r, job)| {
+            r.map_err(|te| JobError {
+                workload: job.workload.name.clone(),
+                primitive: job.primitive,
+                message: te.message,
+                attempts: te.attempts,
             })
-            .collect();
-
-        slot_to_unique
-            .into_iter()
-            .map(|i| results[i].clone())
-            .collect()
+        })
+        .collect()
     }
 
     /// Runs `count` independent tasks across the worker pool and returns

@@ -789,14 +789,8 @@ impl Advised {
     pub fn exact(target: &Target, ranker: Option<&dyn PlanRanker>, top_n: usize) -> Self {
         let w = Workload::prepare(target.benchmark, target.scale, target.k);
         let started = Instant::now();
-        let (plan, report) = crate::runner::find_opt_pruned(
-            &target.config(),
-            &w,
-            Primitive::Spmm,
-            true,
-            ranker,
-            top_n,
-        );
+        let (plan, report) =
+            crate::runner::find_opt(&target.config(), &w, Primitive::Spmm, true, ranker, top_n);
         Advised {
             plan,
             source: "exhaustive",

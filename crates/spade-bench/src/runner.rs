@@ -18,7 +18,7 @@ use crate::machines;
 use crate::parallel::{Job, ParallelRunner};
 use crate::suite::Workload;
 
-/// How many model-ranked candidates [`find_opt_pruned`] simulates before
+/// How many model-ranked candidates [`find_opt`] simulates before
 /// falling back on the Base plan comparison. Covers the true optimum on
 /// the quick space (6–8 searched plans) with room to spare on Table 3.
 pub const PRUNE_TOP_N: usize = 5;
@@ -88,33 +88,16 @@ pub fn select_opt(plans: &[ExecutionPlan], reports: &[RunReport]) -> (ExecutionP
 
 /// Searches the (quick) Table 3-shaped space in parallel and returns the
 /// best plan and its report — the SPADE Opt methodology (§7.A).
-pub fn find_opt(
-    config: &SystemConfig,
-    w: &Workload,
-    primitive: Primitive,
-    quick: bool,
-) -> (ExecutionPlan, RunReport) {
-    let workload = Arc::new(w.clone());
-    let config = Arc::new(config.clone());
-    let plans = opt_candidates(w, quick);
-    let jobs: Vec<Job> = plans
-        .iter()
-        .map(|&plan| Job::new(&workload, &config, primitive, plan))
-        .collect();
-    let reports = ParallelRunner::from_env().run(&jobs);
-    select_opt(&plans, &reports)
-}
-
-/// Model-guided `find_opt`: simulate only the ranker's `top_n` searched
-/// candidates (plus Base) instead of the whole space.
 ///
-/// The pruned candidate list keeps the surviving plans in their original
-/// enumeration order and Base last, so [`select_opt`]'s tie-breaking is
-/// unchanged: whenever the true optimum (the first minimal-cycle searched
-/// candidate) survives the pruning, the returned `(plan, report)` pair is
-/// byte-identical to the exhaustive search. When `ranker` is `None`, not
-/// confident, or declines to rank, this *is* the exhaustive search.
-pub fn find_opt_pruned(
+/// With a confident `ranker`, only its `top_n` searched candidates (plus
+/// Base) are simulated. The pruned list keeps the surviving plans in their
+/// original enumeration order and Base last, so [`select_opt`]'s
+/// tie-breaking is unchanged: whenever the true optimum (the first
+/// minimal-cycle searched candidate) survives the pruning, the returned
+/// `(plan, report)` pair is byte-identical to the exhaustive search. When
+/// `ranker` is `None`, not confident, or declines to rank, or `top_n` is
+/// 0, the whole space is simulated.
+pub fn find_opt(
     config: &SystemConfig,
     w: &Workload,
     primitive: Primitive,
@@ -187,7 +170,7 @@ mod tests {
         let w = Workload::prepare(Benchmark::Kro, Scale::Tiny, 32);
         let cfg = machines::spade_system(8);
         let base = run_base(&cfg, &w, Primitive::Spmm);
-        let (_, opt) = find_opt(&cfg, &w, Primitive::Spmm, true);
+        let (_, opt) = find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
         assert!(opt.cycles <= base.cycles);
     }
 
@@ -269,33 +252,32 @@ mod tests {
     fn pruned_find_opt_is_byte_identical_when_optimum_survives() {
         let w = Workload::prepare(Benchmark::Kro, Scale::Tiny, 32);
         let cfg = machines::spade_system(8);
-        let exhaustive = find_opt(&cfg, &w, Primitive::Spmm, true);
+        let exhaustive = find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
         // An oracle ranker always keeps the true optimum in its top-1.
         let oracle = TableRanker {
             table: candidate_cycles(&cfg, &w, true),
             confident: true,
         };
         for top_n in [1, 2, PRUNE_TOP_N] {
-            let pruned = find_opt_pruned(&cfg, &w, Primitive::Spmm, true, Some(&oracle), top_n);
+            let pruned = find_opt(&cfg, &w, Primitive::Spmm, true, Some(&oracle), top_n);
             assert_eq!(pruned.0, exhaustive.0, "plan diverged at top_n={top_n}");
             assert_eq!(pruned.1, exhaustive.1, "report diverged at top_n={top_n}");
         }
     }
 
     #[test]
-    fn pruned_find_opt_without_ranker_is_the_exhaustive_search() {
+    fn an_absent_or_unconfident_ranker_prunes_nothing() {
         let w = Workload::prepare(Benchmark::Myc, Scale::Tiny, 32);
         let cfg = machines::spade_system(8);
-        let exhaustive = find_opt(&cfg, &w, Primitive::Spmm, true);
-        let pruned = find_opt_pruned(&cfg, &w, Primitive::Spmm, true, None, PRUNE_TOP_N);
-        assert_eq!(pruned.0, exhaustive.0);
-        assert_eq!(pruned.1, exhaustive.1);
-        // An unconfident ranker is ignored the same way.
+        let plans = opt_candidates(&w, true);
+        assert_eq!(
+            prune_candidates(&plans, &w, &cfg, None, PRUNE_TOP_N),
+            plans.to_vec()
+        );
         let shy = TableRanker {
             table: Vec::new(),
             confident: false,
         };
-        let plans = opt_candidates(&w, true);
         assert_eq!(
             prune_candidates(&plans, &w, &cfg, Some(&shy), 1),
             plans.to_vec()
@@ -323,7 +305,7 @@ mod tests {
         assert_eq!(*pruned.last().unwrap(), machines::base_plan(&w.a));
         let pos = |p: &ExecutionPlan| plans.iter().position(|q| q == p).unwrap();
         assert!(pos(&pruned[0]) < pos(&pruned[1]));
-        let (plan, report) = find_opt_pruned(&cfg, &w, Primitive::Spmm, true, Some(&adversary), 2);
+        let (plan, report) = find_opt(&cfg, &w, Primitive::Spmm, true, Some(&adversary), 2);
         let base = run_base(&cfg, &w, Primitive::Spmm);
         assert!(report.cycles <= base.cycles);
         let _ = plan;

@@ -343,24 +343,6 @@ impl Inner {
     }
 }
 
-/// A clonable handle for requesting shutdown from another thread (tests,
-/// signal bridges). The daemon also honors SIGTERM/SIGINT directly once
-/// [`install_termination_handler`] has run.
-#[derive(Clone)]
-pub struct ServiceHandle(Arc<Inner>);
-
-impl ServiceHandle {
-    /// Asks the daemon to stop accepting, drain, and return.
-    pub fn request_shutdown(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the daemon is draining.
-    pub fn is_shutting_down(&self) -> bool {
-        self.0.shutting_down()
-    }
-}
-
 /// One admitted request, queued for a worker.
 struct WorkItem {
     /// Request id, threading the log span from admission to reply.
@@ -450,15 +432,10 @@ impl Service {
         self.listener.local_addr()
     }
 
-    /// A shutdown handle usable from other threads.
-    pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle(Arc::clone(&self.inner))
-    }
-
-    /// Serves until shutdown is requested (in-band `shutdown`, a
-    /// [`ServiceHandle`], or SIGTERM/SIGINT after
-    /// [`install_termination_handler`]), then drains in-flight work,
-    /// flushes the cache index and returns the lifetime summary.
+    /// Serves until shutdown is requested (in-band `shutdown`, or
+    /// SIGTERM/SIGINT after [`install_termination_handler`]), then drains
+    /// in-flight work, flushes the cache index and returns the lifetime
+    /// summary.
     ///
     /// # Errors
     ///
@@ -1444,10 +1421,13 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
                 maybe_flush_index(inner);
             }
         }
+        // The gauge drops before the reply goes out: a `status` or
+        // `metrics` request sent once the reply arrives must not count
+        // the finished job as in flight.
+        inner.metrics.in_flight.add(-1);
         // The handler may have given up (connection died); a dead
         // receiver just drops the result.
         let _ = item.reply.send(outcome);
-        inner.metrics.in_flight.add(-1);
     }
 }
 
@@ -1978,12 +1958,6 @@ impl ServiceClient {
             Err(FrameError::Io(e)) => Err(e),
             Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
         }
-    }
-
-    /// Write access to the raw socket, for byzantine-client tests that
-    /// need to send partial or garbage frames.
-    pub fn raw_writer(&mut self) -> &mut TcpStream {
-        &mut self.writer
     }
 }
 

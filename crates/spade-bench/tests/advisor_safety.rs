@@ -136,7 +136,7 @@ fn mutated_matrix_market_inputs_always_yield_runnable_plans() {
 
             if exhaustive_checked < 3 && a.num_cols() > 0 && a.nnz() > 0 {
                 let w = Workload::from_matrix(format!("fuzz{parsed}"), a.clone(), k);
-                let (plan, report) = find_opt(&config, &w, Primitive::Spmm, true);
+                let (plan, report) = find_opt(&config, &w, Primitive::Spmm, true, None, 0);
                 assert!(report.cycles > 0, "exhaustive tier returned an empty run");
                 assert_plan_runs(&a, k, &config, &plan);
                 exhaustive_checked += 1;

@@ -47,8 +47,8 @@ fn parallel_reports_are_bit_identical_to_serial() {
 fn find_opt_is_deterministic_across_runs() {
     let cfg: SystemConfig = machines::spade_system(4);
     let w = Workload::prepare(Benchmark::Myc, Scale::Tiny, 32);
-    let (plan_a, report_a) = runner::find_opt(&cfg, &w, Primitive::Spmm, true);
-    let (plan_b, report_b) = runner::find_opt(&cfg, &w, Primitive::Spmm, true);
+    let (plan_a, report_a) = runner::find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
+    let (plan_b, report_b) = runner::find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
     assert_eq!(plan_a, plan_b);
     assert_eq!(report_a, report_b);
 }

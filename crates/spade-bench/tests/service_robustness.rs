@@ -347,6 +347,31 @@ fn status_and_ping_report_live_state() {
 }
 
 #[test]
+fn status_right_after_a_reply_counts_no_finished_job() {
+    let (addr, handle) = spawn_service(test_config(None));
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    for round in 0..20 {
+        let run = parse(
+            &client
+                .request_line(
+                    r#"{"cmd":"run","benchmark":"myc","k":16,"pes":4,"scale":"tiny","no_cache":true}"#,
+                )
+                .expect("run"),
+        );
+        assert_eq!(run.get("ok").and_then(JsonValue::as_bool), Some(true));
+        let status = parse(&client.request_line("{\"cmd\":\"status\"}").expect("status"));
+        for gauge in ["in_flight", "queue_depth"] {
+            assert_eq!(
+                status.get(gauge).and_then(JsonValue::as_u64),
+                Some(0),
+                "round {round}: {gauge} still counts the answered run"
+            );
+        }
+    }
+    shutdown_and_join(&addr, handle);
+}
+
+#[test]
 fn shutdown_drains_and_new_requests_are_turned_away() {
     let (addr, handle) = spawn_service(test_config(None));
     // A connection opened before shutdown...

@@ -120,7 +120,7 @@ pub fn advise_candidates(
     Ok(plans)
 }
 
-/// Three-tier plan selection (the `advise --fast` policy):
+/// Three-tier plan selection (the default `advise` policy):
 ///
 /// 1. **Model** — when `ranker` is present and [`PlanRanker::confident`],
 ///    rank the [`advise_candidates`] list and return the top plan with

@@ -1,10 +1,15 @@
-//! The SPADE tile ISA (Figure 4c).
+//! The kernel and bypass knobs of the SPADE tile ISA (Figure 4c).
 //!
 //! SPADE is programmable through five coarse-grained instructions that the
 //! control processing element (CPE) writes into each PE's memory-mapped
 //! input registers: *Initialization*, *Tile*, *Scheduling Barrier*,
 //! *WB&Invalidate* and *Termination*. Instructions are tile-granular, so
 //! PEs never fetch or decode fine-grained instruction streams (§4.2).
+//!
+//! The simulator executes that ISA as a [`PeCommand`](crate::PeCommand)
+//! stream per PE (Tile, Barrier, WbInvalidate, Terminate) plus the
+//! [`RuntimeParams`](crate::pe::RuntimeParams) that the Initialization
+//! instruction would carry. This module holds the enums those two share.
 
 /// Which kernel a SPADE-mode section executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,79 +59,6 @@ pub enum CMatrixPolicy {
     Bypass,
 }
 
-/// The *Initialization* instruction: broadcast to every PE before any tile
-/// work, carrying base addresses, bypass strategies and data-shape
-/// parameters. PEs store it in special registers and reconfigure their
-/// hardware (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InitInstruction {
-    /// SpMM or SDDMM.
-    pub primitive: Primitive,
-    /// Base byte address of the rMatrix.
-    pub r_matrix_base: u64,
-    /// Base byte address of the cMatrix.
-    pub c_matrix_base: u64,
-    /// Base byte address of the tiled `r_ids` array.
-    pub r_ids_base: u64,
-    /// Base byte address of the tiled `c_ids` array.
-    pub c_ids_base: u64,
-    /// Base byte address of the tiled `vals` array.
-    pub vals_base: u64,
-    /// Base byte address of the output `vals` array (SDDMM only).
-    pub sparse_out_base: u64,
-    /// rMatrix bypass strategy.
-    pub r_policy: RMatrixPolicy,
-    /// cMatrix bypass strategy.
-    pub c_policy: CMatrixPolicy,
-    /// Bytes per sparse index (4 in this model).
-    pub index_bytes: u32,
-    /// Bytes per value (4 in this model).
-    pub val_bytes: u32,
-    /// Dense row size `K` in elements; must fill whole cache lines.
-    pub k: u32,
-    /// Row stride of the dense matrices in bytes (≥ `k · val_bytes`,
-    /// cache-line aligned).
-    pub dense_stride_bytes: u32,
-}
-
-/// The *Tile* instruction: process one tile of the sparse input (§4.2).
-/// Arguments come straight from the Appendix A tiling metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileInstruction {
-    /// Offset (in non-zeros) of the tile's first entry in the tiled arrays
-    /// (`sparse_in start offset`).
-    pub sparse_in_offset: u64,
-    /// Offset (in values) of the tile's first output in the output values
-    /// array (`sparse_out start offset`, SDDMM only).
-    pub sparse_out_offset: u64,
-    /// Number of non-zeros in the tile (`NNZ_num`). Unbounded — SPADE
-    /// imposes no tile-size constraints.
-    pub nnz: u64,
-}
-
-/// One instruction as delivered by the CPE to a PE.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instruction {
-    /// Configure the PE for a kernel.
-    Init(InitInstruction),
-    /// Process a tile.
-    Tile(TileInstruction),
-    /// Wait until every PE has reached this barrier (§4.3). The payload is
-    /// the barrier's sequence number.
-    SchedulingBarrier(u32),
-    /// Write back and invalidate the PE's L1 and BBF (§4.3).
-    WbInvalidate,
-    /// Pause the PE and end its SPADE-mode section.
-    Termination,
-}
-
-impl Instruction {
-    /// `true` for [`Instruction::Tile`].
-    pub fn is_tile(&self) -> bool {
-        matches!(self, Instruction::Tile(_))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,18 +67,6 @@ mod tests {
     fn primitive_display_matches_paper() {
         assert_eq!(Primitive::Spmm.to_string(), "SpMM");
         assert_eq!(Primitive::Sddmm.to_string(), "SDDMM");
-    }
-
-    #[test]
-    fn instruction_discriminates_tiles() {
-        let t = Instruction::Tile(TileInstruction {
-            sparse_in_offset: 0,
-            sparse_out_offset: 0,
-            nnz: 7,
-        });
-        assert!(t.is_tile());
-        assert!(!Instruction::Termination.is_tile());
-        assert!(!Instruction::SchedulingBarrier(0).is_tile());
     }
 
     #[test]

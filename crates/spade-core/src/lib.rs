@@ -11,12 +11,13 @@
 //!
 //! Crate layout:
 //!
-//! * [`isa`](crate::Instruction) — the five tile-granular instructions and
-//!   the bypass policies,
+//! * [`Primitive`], [`RMatrixPolicy`], [`CMatrixPolicy`] — the kernel and
+//!   bypass knobs of the tile ISA,
 //! * [`ExecutionPlan`] / [`PlanSearchSpace`] — the flexibility knobs and
 //!   the Table 3 search space behind `SPADE Opt`,
 //! * [`Schedule`] — CPE tile scheduling with the SpMM row-panel constraint
-//!   and scheduling barriers (§4.3),
+//!   and scheduling barriers (§4.3); each PE's stream of [`PeCommand`]s
+//!   is the tile ISA (§4.2) as the simulator executes it,
 //! * [`vrf`] — the vector register file with its tag CAM (§5.1),
 //! * [`pe`] — the three-stage latency-tolerant PE pipeline (§4.4),
 //! * [`SpadeSystem`] — the integrated system: run SpMM/SDDMM end to end,
@@ -61,9 +62,7 @@ pub use addr::AddressMap;
 pub use config::{PipelineConfig, SystemConfig};
 pub use diag::{PeSnapshot, StallDiagnostics, StallKind, WatchdogConfig};
 pub use error::SpadeError;
-pub use isa::{
-    CMatrixPolicy, InitInstruction, Instruction, Primitive, RMatrixPolicy, TileInstruction,
-};
+pub use isa::{CMatrixPolicy, Primitive, RMatrixPolicy};
 pub use plan::{BarrierPolicy, ExecutionPlan, PlanSearchSpace};
 pub use report::RunReport;
 pub use schedule::{PeCommand, Schedule};

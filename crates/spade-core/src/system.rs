@@ -160,22 +160,12 @@ impl SpadeSystem {
         self
     }
 
-    /// The configured telemetry window, if sampling is enabled.
-    pub fn telemetry_window(&self) -> Option<Cycle> {
-        self.telemetry_window
-    }
-
     /// Enables or disables event tracing (tile-instruction lifecycles,
     /// barriers, flushes, idle spans, fault firings, watchdog reports).
     /// Like telemetry, tracing never changes simulated behavior.
     pub fn set_trace(&mut self, enabled: bool) -> &mut Self {
         self.trace_on = enabled;
         self
-    }
-
-    /// Whether event tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_on
     }
 
     /// Takes the telemetry series recorded by the most recent run (also

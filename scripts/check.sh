@@ -58,10 +58,10 @@ SPADE_BENCH_FAST=1 cargo bench -q -p spade-bench --bench fig10_pipeline >/dev/nu
 echo "== bench-perf regression gate (release)"
 # Event-driven vs naive driver: the two are equivalence-checked report
 # for report on every run, and the geomean event-driver speedup must stay
-# above the committed floor (measured on a shared 2-core host, tiny
-# suite: 1.2-1.55x with a median of ~1.4x; both drivers share the PE
-# code, so a faster PE speeds the naive oracle too and shortens the run,
-# which widens the spread).
+# above the committed floor. bench-perf runs the pairs one at a time on
+# one worker, so neither driver's wall time absorbs the other's
+# interference (measured on a shared 2-core host, tiny suite, ten runs:
+# 1.52-1.62x, median 1.58x, 2.0-2.7 s each).
 cargo build --release -q -p spade-cli
 ./target/release/spade-cli bench-perf --scale tiny --k 32 --pes 8 \
   --gate-speedup 1.3 \
