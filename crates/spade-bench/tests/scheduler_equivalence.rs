@@ -36,15 +36,24 @@ fn observable_bytes(o: &JobOutput) -> (String, String) {
 /// each on a 16-PE, 4-cluster machine, where every PE blocks at each
 /// barrier and a release wakes PEs in every cluster at once. On MYC and
 /// KRO, Table 4's CFG0 and CFG1 also run base plans at four pipeline steps
-/// per system cycle (`clock_mult = 4`), and the barrier plan also runs on
-/// 72 PEs, past the first 64-PE word of the event loop's due sets (ROA,
-/// the slowest graph under the naive oracle, skips these three).
+/// per system cycle (`clock_mult = 4`), the barrier plan also runs on
+/// 72 PEs, past the first 64-PE word of the event loop's due sets, and the
+/// base plan runs on PEs with 96 reservation-station slots and 128 vector
+/// registers, so more than 64 vOps wait at once and the ready set is
+/// checked against the oracle's scan past one word too (ROA, the slowest
+/// graph under the naive oracle, skips these four).
 fn paired_jobs() -> Vec<Job> {
     let base_machine = Arc::new(machines::spade_system(8));
     let barrier_machine = Arc::new(machines::spade_system(16));
     let cfg0 = Arc::new(SystemConfig::table4_cfg(&machines::spade_system(16), 0));
     let cfg1 = Arc::new(SystemConfig::table4_cfg(&machines::spade_system(16), 1));
     let wide_machine = Arc::new(machines::spade_system(72));
+    let deep_rs_machine = Arc::new({
+        let mut cfg = machines::spade_system(8);
+        cfg.pipeline.rs_entries = 96;
+        cfg.pipeline.vrf_regs = 128;
+        cfg
+    });
     let mut jobs = Vec::new();
     for benchmark in [Benchmark::Myc, Benchmark::Kro, Benchmark::Roa] {
         let w = Arc::new(Workload::prepare(benchmark, Scale::Tiny, 32));
@@ -60,6 +69,7 @@ fn paired_jobs() -> Vec<Job> {
                 (&cfg0, base_plan),
                 (&cfg1, base_plan),
                 (&wide_machine, barrier_plan),
+                (&deep_rs_machine, base_plan),
             ]);
         }
         for (cfg, plan) in machines {
@@ -80,10 +90,11 @@ fn paired_jobs() -> Vec<Job> {
 fn assert_pairs_identical(jobs: &[Job], outputs: &[JobOutput]) {
     for (pair, job) in outputs.chunks_exact(2).zip(jobs.chunks_exact(2)) {
         let label = format!(
-            "{}/{:?}/{} PEs/clock_mult={}/barriers={}",
+            "{}/{:?}/{} PEs/rs_entries={}/clock_mult={}/barriers={}",
             job[0].workload.name,
             job[0].primitive,
             job[0].config.num_pes,
+            job[0].config.pipeline.rs_entries,
             job[0].config.pipeline.clock_mult,
             job[0].plan.barriers.is_enabled()
         );

@@ -57,12 +57,18 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    pub(crate) fn insert(&mut self, i: usize) {
+    /// Adds `i`; returns whether it was absent.
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let absent = !self.contains(i);
         self.words[i / 64] |= 1 << (i % 64);
+        absent
     }
 
-    pub(crate) fn remove(&mut self, i: usize) {
+    /// Removes `i`; returns whether it was present.
+    pub(crate) fn remove(&mut self, i: usize) -> bool {
+        let present = self.contains(i);
         self.words[i / 64] &= !(1 << (i % 64));
+        present
     }
 
     /// Removes every index.
@@ -72,10 +78,6 @@ impl BitSet {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The smallest index in the set.
@@ -100,7 +102,7 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 129]);
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.iter().count(), 5);
         assert_eq!(s.first(), Some(0));
         s.remove(0);
         assert!(!s.contains(0) && s.contains(63));
@@ -113,7 +115,7 @@ mod tests {
     fn full_sets_stop_at_their_length() {
         for len in [1, 8, 63, 64, 65, 100, 128] {
             let s = BitSet::full(len);
-            assert_eq!(s.len(), len);
+            assert_eq!(s.iter().count(), len);
             assert_eq!(s.iter().last(), Some(len - 1));
         }
     }

@@ -182,8 +182,15 @@ struct TOp {
     next_seg: u32,
 }
 
+/// A vOp waiting in a reservation-station slot.
 #[derive(Debug, Clone, Copy)]
 struct RsEntry {
+    /// Program-order sequence number: dispatch takes the oldest ready
+    /// entry, so slot indices carry no order.
+    seq: u64,
+    /// Operand fills this entry still waits for, one per `fill_waiters`
+    /// listing; at zero the entry joins the ready set.
+    fills_pending: u8,
     op1: VrId,
     op2: VrId,
     dest: VrId,
@@ -341,24 +348,19 @@ pub struct Pe {
     // Pipeline queues.
     sparse_lq: VecDeque<SparseEntry>,
     top_q: VecDeque<TOp>,
-    /// Reservation stations, kept in program (seq) order so the dispatch
-    /// scan can stop at the first ready entry. Dispatched entries become
-    /// `None` tombstones (removal from the middle must not shift the
-    /// queue on the hot path); tombstones drain from the front eagerly and
-    /// the deque is compacted in place once they dominate it.
-    rs: VecDeque<Option<RsEntry>>,
-    /// Per-slot lower bound on when each `rs` entry can dispatch, kept in
-    /// lockstep with `rs`; tombstones hold `Cycle::MAX`. The dispatch scan
-    /// skips every slot whose bound is still in the future and refreshes
-    /// the bound of each slot it finds not ready, so only entries that may
-    /// have become ready cost VRF reads. A bound stays valid while its
-    /// entry waits: the entry's references pin its registers (no eviction
-    /// or refill), a fill completing at `t` turns resident only at
-    /// `now >= t`, and `last_write_done` only grows.
-    rs_bound: VecDeque<Cycle>,
-    /// Live (non-tombstone) reservation-station entries; this — not
-    /// `rs.len()` — is the architectural occupancy.
-    rs_live: usize,
+    /// Reservation stations: `rs_entries` fixed slots, `None` while free.
+    rs: Vec<Option<RsEntry>>,
+    /// Free reservation-station slots.
+    rs_free: Vec<usize>,
+    /// `(seq, slot)` of the entries whose operand fills have all arrived,
+    /// in program order. Fill events keep it: the harvest of a register's
+    /// fill moves every slot that fill completes here, so dispatch never
+    /// looks at an entry still waiting for an operand.
+    rs_ready: Vec<(u64, usize)>,
+    /// Per vector register, the slots waiting for its fill.
+    fill_waiters: Vec<Vec<usize>>,
+    /// Sequence number of the next reservation-station entry.
+    rs_seq: u64,
     /// In-flight SIMD operations. Dispatch happens at monotonically
     /// nondecreasing `now` with a fixed latency, so completions are FIFO.
     in_flight: VecDeque<InFlight>,
@@ -372,20 +374,13 @@ pub struct Pe {
     pending_flush: VecDeque<(Line, DataClass)>,
     /// Write-back manager hysteresis: currently draining toward `wb_lo`.
     wb_draining: bool,
-    /// Earliest cycle at which a reservation-station scan can find a ready
-    /// vOp (event-driven gate for the dispatch scan): the smallest slot
-    /// bound of the last scan that found nothing, or the current cycle
-    /// after a dispatch or a new entry, so the next pipeline step — in the
-    /// same cycle when `clock_mult > 1` — scans again.
-    rs_next_try: Cycle,
-    /// Whether the dispatch scan honors `rs_next_try`. The event-driven
-    /// driver relies on the gate; the naive oracle loop disables it so
-    /// every polled step runs the scan, like a textbook cycle-by-cycle
-    /// simulator. The gate is a pure short-circuit — a scan before
-    /// `rs_next_try` finds nothing ready — so both settings dispatch
-    /// identically (the `scheduler_equivalence` suite checks this
-    /// byte-for-byte).
-    event_gates: bool,
+    /// Whether dispatch selects from `rs_ready` (the default) or by
+    /// [`Pe::scan_pick`], a plain scan of every live slot. The naive
+    /// oracle loop selects by the scan, like a textbook cycle-by-cycle
+    /// simulator, so the two drivers choose by different code (the
+    /// `scheduler_equivalence` suite checks they choose alike, byte for
+    /// byte).
+    ready_set: bool,
     /// Set when the vOp generator stalled on VRF allocation; cleared by
     /// any event that frees a register (retire, write-back, load arrival).
     alloc_blocked: bool,
@@ -423,17 +418,18 @@ impl Pe {
             tile_out_next: 0,
             sparse_lq: VecDeque::with_capacity(cfg.sparse_lq_entries),
             top_q: VecDeque::with_capacity(cfg.top_queue_entries),
-            rs: VecDeque::with_capacity(cfg.rs_entries * 2),
-            rs_bound: VecDeque::with_capacity(cfg.rs_entries * 2),
-            rs_live: 0,
+            rs: vec![None; cfg.rs_entries],
+            rs_free: (0..cfg.rs_entries).rev().collect(),
+            rs_ready: Vec::with_capacity(cfg.rs_entries),
+            fill_waiters: vec![Vec::new(); cfg.vrf_regs],
+            rs_seq: 0,
             in_flight: VecDeque::new(),
             vrf: Vrf::new(cfg.vrf_regs),
             dense_loads: BinaryHeap::new(),
             stores: BinaryHeap::new(),
             pending_flush: VecDeque::new(),
             wb_draining: false,
-            rs_next_try: 0,
-            event_gates: true,
+            ready_set: true,
             alloc_blocked: false,
             stall_open: None,
             stats: PeStats::default(),
@@ -473,12 +469,32 @@ impl Pe {
         }
     }
 
-    /// Enables (default) or disables the event-driven dispatch-scan gate;
-    /// see the `event_gates` field. Disabling it changes host cost only,
-    /// never simulated behavior. The system disables it exactly when it
-    /// runs the naive oracle loop ([`crate::SpadeSystem::set_fast_forward`]).
-    pub(crate) fn set_event_gates(&mut self, enabled: bool) {
-        self.event_gates = enabled;
+    /// Selects dispatch from the ready set (default) or by the reference
+    /// scan; see the `ready_set` field. The choice changes host cost only,
+    /// never simulated behavior. The system selects the scan exactly when
+    /// it runs the naive oracle loop
+    /// ([`crate::SpadeSystem::set_fast_forward`]).
+    pub(crate) fn set_ready_set(&mut self, enabled: bool) {
+        self.ready_set = enabled;
+    }
+
+    /// Occupied reservation-station slots.
+    fn rs_occupancy(&self) -> usize {
+        self.rs.len() - self.rs_free.len()
+    }
+
+    /// The reference dispatch choice: a plain scan of every live slot for
+    /// the oldest entry with [`RsEntry::ready_at`] `<= now`.
+    fn scan_pick(&self, now: Cycle) -> Option<usize> {
+        self.rs
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, e)| {
+                e.filter(|e| e.ready_at(&self.vrf) <= now)
+                    .map(|e| (e.seq, slot))
+            })
+            .min()
+            .map(|(_, slot)| slot)
     }
 
     /// Enables or disables lifecycle tracing for this PE. Tracing is pure
@@ -514,7 +530,7 @@ impl Pe {
             tile_remaining: self.tile_remaining,
             sparse_lq: self.sparse_lq.len(),
             top_q: self.top_q.len(),
-            rs: self.rs_live,
+            rs: self.rs_occupancy(),
             in_flight: self.in_flight.len(),
             dense_loads: self.dense_loads.len(),
             stores: self.stores.len(),
@@ -534,7 +550,7 @@ impl Pe {
                 self.cfg.sparse_lq_entries,
             ),
             ("top_q", self.top_q.len(), self.cfg.top_queue_entries),
-            ("rs", self.rs_live, self.cfg.rs_entries),
+            ("rs", self.rs_occupancy(), self.cfg.rs_entries),
             (
                 "dense_loads",
                 self.dense_loads.len(),
@@ -595,7 +611,7 @@ impl Pe {
         self.tile_remaining == 0
             && self.sparse_lq.is_empty()
             && self.top_q.is_empty()
-            && self.rs_live == 0
+            && self.rs_occupancy() == 0
             && self.in_flight.is_empty()
             && self.dense_loads.is_empty()
     }
@@ -623,7 +639,15 @@ impl Pe {
             }
             self.dense_loads.pop();
             self.vrf.set_ready(vr);
-            self.rs_next_try = self.rs_next_try.min(now);
+            for slot in self.fill_waiters[vr].drain(..) {
+                let e = self.rs[slot].as_mut().expect("a fill waiter is live");
+                e.fills_pending -= 1;
+                if e.fills_pending == 0 {
+                    let seq = e.seq;
+                    let at = self.rs_ready.partition_point(|&(s, _)| s < seq);
+                    self.rs_ready.insert(at, (seq, slot));
+                }
+            }
             self.alloc_blocked = false;
             progressed = true;
         }
@@ -662,74 +686,46 @@ impl Pe {
             }
         }
 
-        // ─ ⑦ Dispatch one ready vOp, oldest first (the deque is in seq
-        //     order, so the first ready entry is the oldest ready one).
-        //     The scan is gated on `rs_next_try`: a failed scan computes a
-        //     lower bound on when any entry can become ready, and only a
-        //     load arrival or a new entry re-arms it earlier. Within a
-        //     scan, slots whose own bound is in the future are skipped
-        //     without touching the VRF (see `rs_bound`). ─
-        if self.rs_live > 0 && (now >= self.rs_next_try || !self.event_gates) {
-            let mut best: Option<usize> = None;
-            let mut next_try = Cycle::MAX;
-            for (idx, bound) in self.rs_bound.iter_mut().enumerate() {
-                // Tombstones hold `Cycle::MAX`: they occupy no
-                // architectural slot and never reorder the live entries
-                // around them, so skipping them preserves the
-                // oldest-ready-first dispatch order exactly.
-                if *bound > now {
-                    debug_assert!(
-                        self.rs[idx].is_none_or(|e| e.ready_at(&self.vrf) > now),
-                        "RS slot {idx} was ready before its bound {bound} (cycle {now})"
-                    );
-                    next_try = next_try.min(*bound);
-                    continue;
-                }
-                let Some(e) = &self.rs[idx] else { continue };
-                let ready_at = e.ready_at(&self.vrf);
-                if ready_at <= now {
-                    best = Some(idx);
-                    break;
-                }
-                *bound = ready_at;
-                next_try = next_try.min(ready_at);
-            }
-            if let Some(idx) = best {
-                let e = self.rs[idx].take().expect("scan found a live entry");
-                self.rs_bound[idx] = Cycle::MAX;
-                self.rs_live -= 1;
-                // Drain leading tombstones so the common oldest-first
-                // dispatch keeps the deque short, then compact in place
-                // (order-preserving) if tombstones still dominate.
-                while self.rs.front().is_some_and(Option::is_none) {
-                    self.rs.pop_front();
-                    self.rs_bound.pop_front();
-                }
-                if self.rs.len() >= self.rs_live * 2 + 2 {
-                    let mut live = self.rs.iter().map(Option::is_some);
-                    self.rs_bound.retain(|_| live.next() == Some(true));
-                    self.rs.retain(Option::is_some);
-                }
-                let done = now + self.cfg.simd_latency;
-                self.vrf.record_write(e.dest, done);
-                self.in_flight.push_back(InFlight {
-                    done,
-                    op1: e.op1,
-                    op2: e.op2,
-                    dest: e.dest,
-                    row: e.row,
-                    col: e.col,
-                    val: e.val,
-                    seg: e.seg,
-                    func_out_idx: e.func_out_idx,
-                });
-                // Dispatch is one per pipeline step; the next step may
-                // try again, in this same cycle when `clock_mult > 1`.
-                self.rs_next_try = now;
-                progressed = true;
-            } else {
-                self.rs_next_try = next_try.max(now + 1);
-            }
+        // ─ ⑦ Dispatch one ready vOp, oldest first. The ready set holds the
+        //     entries whose operands are resident, in program order; the
+        //     first one whose destination's previous write has completed
+        //     goes. One per pipeline step; the next step may dispatch
+        //     again, in this same cycle when `clock_mult > 1`. ─
+        let pick = if self.ready_set {
+            let at = self.rs_ready.iter().position(|&(_, slot)| {
+                let e = self.rs[slot].as_ref().expect("a ready slot is live");
+                self.vrf.last_write_done(e.dest) <= now
+            });
+            debug_assert_eq!(
+                at.map(|i| self.rs_ready[i].1),
+                self.scan_pick(now),
+                "the ready set and the reference scan disagree (cycle {now})"
+            );
+            at.map(|i| self.rs_ready.remove(i).1)
+        } else {
+            self.scan_pick(now).inspect(|&slot| {
+                let at = self.rs_ready.iter().position(|&(_, s)| s == slot);
+                self.rs_ready
+                    .remove(at.expect("a ready entry is in the ready set"));
+            })
+        };
+        if let Some(slot) = pick {
+            let e = self.rs[slot].take().expect("the picked slot is live");
+            self.rs_free.push(slot);
+            let done = now + self.cfg.simd_latency;
+            self.vrf.record_write(e.dest, done);
+            self.in_flight.push_back(InFlight {
+                done,
+                op1: e.op1,
+                op2: e.op2,
+                dest: e.dest,
+                row: e.row,
+                col: e.col,
+                val: e.val,
+                seg: e.seg,
+                func_out_idx: e.func_out_idx,
+            });
+            progressed = true;
         }
 
         // ─ ④–⑥ vOp generation: one vOp per cycle. Allocation retries are
@@ -745,7 +741,7 @@ impl Pe {
             // stall latched.)
             if self.alloc_blocked {
                 self.note_stall(StallCause::Vr, now);
-            } else if self.rs_live >= self.cfg.rs_entries {
+            } else if self.rs_free.is_empty() {
                 self.note_stall(StallCause::Rs, now);
             } else if self.dense_loads.len() + 2 > self.cfg.dense_lq_entries {
                 self.note_stall(StallCause::DenseLq, now);
@@ -756,7 +752,6 @@ impl Pe {
                 if t.next_seg >= self.params.lines_per_row {
                     self.top_q.pop_front();
                 }
-                self.rs_next_try = self.rs_next_try.min(now);
                 progressed = true;
             } else {
                 self.alloc_blocked = true;
@@ -919,7 +914,26 @@ impl Pe {
         self.vrf.add_ref(op1);
         self.vrf.add_ref(op2);
         self.vrf.add_ref(dest);
-        self.rs.push_back(Some(RsEntry {
+        let slot = self
+            .rs_free
+            .pop()
+            .expect("the generator checked for a free slot");
+        let seq = self.rs_seq;
+        self.rs_seq += 1;
+        let mut fills_pending = 0;
+        for op in [op1, op2] {
+            if !self.vrf.is_resident(op) {
+                self.fill_waiters[op].push(slot);
+                fills_pending += 1;
+            }
+        }
+        if fills_pending == 0 {
+            // The newest entry: program order puts it last.
+            self.rs_ready.push((seq, slot));
+        }
+        self.rs[slot] = Some(RsEntry {
+            seq,
+            fills_pending,
             op1,
             op2,
             dest,
@@ -928,9 +942,7 @@ impl Pe {
             val: top.val,
             seg: top.next_seg,
             func_out_idx: top.func_out_idx,
-        }));
-        self.rs_bound.push_back(0);
-        self.rs_live += 1;
+        });
         true
     }
 

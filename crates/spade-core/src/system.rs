@@ -124,9 +124,11 @@ impl SpadeSystem {
     /// oracle. Both drivers produce bit-identical outputs, reports,
     /// telemetry, and traces (see the `fast_forward` property tests and
     /// the `scheduler_equivalence` suite); the naive loop just spends host
-    /// time proportional to simulated cycles × PEs (each poll also running
-    /// the reservation-station scan — the per-PE event gates are disabled
-    /// too) instead of to actual events.
+    /// time proportional to simulated cycles × PEs instead of to actual
+    /// events. The switch also selects how each PE picks the vOp to
+    /// dispatch: from the ready set that operand-fill events keep (event
+    /// loop), or by a plain scan of every live reservation-station slot
+    /// (naive loop), so the two drivers choose by different code.
     ///
     /// This is the oracle's only switch in `spade-core`. No CLI flag, wire
     /// field or environment variable reaches it: the callers are the
@@ -396,9 +398,10 @@ impl SpadeSystem {
                 );
                 pe.set_trace(self.trace_on);
                 // The oracle loop models the textbook poll-everything
-                // baseline: it re-runs the reservation-station ready scan
-                // every polled cycle instead of trusting the event gate.
-                pe.set_event_gates(self.fast_forward);
+                // baseline: it scans the reservation stations for a ready
+                // vOp on every polled step instead of reading the ready
+                // set.
+                pe.set_ready_set(self.fast_forward);
                 pe
             })
             .collect();
@@ -751,10 +754,10 @@ fn run_event_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
 
 /// The original cycle-by-cycle driver, kept as the behavioral oracle for
 /// [`run_event_loop`]: every simulated cycle is visited and every live PE
-/// polled, whether or not it can act. The PEs run with their dispatch-scan
-/// event gate disabled (see [`Pe::set_event_gates`]), so every poll runs
-/// the reservation-station scan; the scan itself, with its per-slot
-/// bounds, is the same code under both drivers.
+/// polled, whether or not it can act. The PEs pick the vOp to dispatch by
+/// a plain scan of their live reservation-station slots (see
+/// [`Pe::set_ready_set`]), not from the ready set the event loop's PEs
+/// read, so the two drivers select by different code.
 fn run_naive_loop(env: LoopEnv<'_, '_>) -> Option<SpadeError> {
     let LoopEnv {
         pes,

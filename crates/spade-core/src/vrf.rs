@@ -71,6 +71,9 @@ pub struct Vrf {
     resident: BitSet,
     dirty: BitSet,
     referenced: BitSet,
+    /// Registers in `dirty`, kept as they change: the write-back manager
+    /// reads the dirty fraction every tick.
+    dirty_regs: usize,
     tick: u64,
 }
 
@@ -93,6 +96,7 @@ impl Vrf {
             resident: BitSet::new(num_regs),
             dirty: BitSet::new(num_regs),
             referenced: BitSet::new(num_regs),
+            dirty_regs: 0,
             tick: 0,
         }
     }
@@ -104,7 +108,7 @@ impl Vrf {
 
     /// Currently dirty registers.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.dirty_regs
     }
 
     /// Dirty fraction in `[0, 1]`.
@@ -197,6 +201,11 @@ impl Vrf {
         }
     }
 
+    /// Whether `id` holds its data: its fill arrived, or it needed none.
+    pub(crate) fn is_resident(&self, id: VrId) -> bool {
+        self.resident.contains(id)
+    }
+
     /// The cycle at which `id` has its data (now or in the future);
     /// `Cycle::MAX` while invalid.
     pub fn ready_at(&self, id: VrId) -> Cycle {
@@ -227,7 +236,9 @@ impl Vrf {
 
     /// Records a write to `id` completing at `done` and marks it dirty.
     pub fn record_write(&mut self, id: VrId, done: Cycle) {
-        self.dirty.insert(id);
+        if self.dirty.insert(id) {
+            self.dirty_regs += 1;
+        }
         self.last_write_done[id] = self.last_write_done[id].max(done);
     }
 
@@ -246,7 +257,9 @@ impl Vrf {
     /// debug builds.
     pub fn clean(&mut self, id: VrId) -> (Line, DataClass) {
         debug_assert!(self.dirty.contains(id), "cleaning a clean register");
-        self.dirty.remove(id);
+        if self.dirty.remove(id) {
+            self.dirty_regs -= 1;
+        }
         (self.tags[id], self.class[id])
     }
 
@@ -274,6 +287,7 @@ impl Vrf {
         self.invalid.insert_below(self.tags.len());
         self.resident.clear();
         self.dirty.clear();
+        self.dirty_regs = 0;
         self.referenced.clear();
         n
     }

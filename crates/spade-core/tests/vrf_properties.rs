@@ -179,7 +179,6 @@ mod reference {
     pub struct RefVrf {
         regs: Vec<Vr>,
         cam: HashMap<Line, VrId>,
-        dirty_count: usize,
         tick: u64,
     }
 
@@ -188,13 +187,16 @@ mod reference {
             RefVrf {
                 regs: vec![Vr::empty(); num_regs],
                 cam: HashMap::new(),
-                dirty_count: 0,
                 tick: 0,
             }
         }
 
         pub fn dirty_count(&self) -> usize {
-            self.dirty_count
+            self.regs.iter().filter(|r| r.dirty).count()
+        }
+
+        pub fn dirty_fraction(&self) -> f64 {
+            self.dirty_count() as f64 / self.regs.len() as f64
         }
 
         pub fn lookup_or_alloc(&mut self, line: Line, class: DataClass) -> AllocOutcome {
@@ -273,9 +275,6 @@ mod reference {
 
         pub fn record_write(&mut self, id: VrId, done: Cycle) {
             let r = &mut self.regs[id];
-            if !r.dirty {
-                self.dirty_count += 1;
-            }
             r.dirty = true;
             r.last_write_done = r.last_write_done.max(done);
         }
@@ -293,9 +292,6 @@ mod reference {
 
         pub fn clean(&mut self, id: VrId) -> (Line, DataClass) {
             let r = &mut self.regs[id];
-            if r.dirty {
-                self.dirty_count -= 1;
-            }
             r.dirty = false;
             (r.tag, r.class)
         }
@@ -311,7 +307,6 @@ mod reference {
                 }
                 *r = Vr::empty();
             }
-            self.dirty_count = 0;
             out
         }
 
@@ -333,10 +328,34 @@ mod reference {
     }
 }
 
+/// Makes one call on both the VRF and the reference model, with the same
+/// plain-value arguments, and checks that their dirty count and dirty
+/// fraction still agree afterwards; evaluates to the pair of answers.
+macro_rules! both {
+    ($vrf:ident, $model:ident, $label:expr, $method:ident($($arg:expr),*)) => {{
+        let answers = ($vrf.$method($($arg),*), $model.$method($($arg),*));
+        let call = stringify!($method);
+        assert_eq!(
+            $vrf.dirty_count(),
+            $model.dirty_count(),
+            "{}: dirty count after {call}",
+            $label
+        );
+        assert_eq!(
+            $vrf.dirty_fraction().to_bits(),
+            $model.dirty_fraction().to_bits(),
+            "{}: dirty fraction after {call}",
+            $label
+        );
+        answers
+    }};
+}
+
 /// Drives [`Vrf`] and the reference model with one random operation
 /// stream — the vOp generator's and write-back manager's calls, plus
 /// mid-stream flushes — and requires identical answers after every
-/// operation, at register counts inside one bitset word, filling it, and
+/// operation, and an identical dirty count and dirty fraction after every
+/// call, at register counts inside one bitset word, filling it, and
 /// spanning two.
 #[test]
 fn vrf_matches_the_reference_model() {
@@ -357,69 +376,62 @@ fn vrf_matches_the_reference_model() {
                     0..=5 => {
                         let line = rng.gen_range(0..lines);
                         let class = CLASSES[rng.bounded(3) as usize];
-                        let got = vrf.lookup_or_alloc(line, class);
-                        assert_eq!(got, model.lookup_or_alloc(line, class), "{label}");
+                        let (got, want) = both!(vrf, model, label, lookup_or_alloc(line, class));
+                        assert_eq!(got, want, "{label}");
                         match got {
                             AllocOutcome::Allocated(id) if rng.bounded(4) == 0 => {
-                                vrf.set_ready(id);
-                                model.set_ready(id);
+                                both!(vrf, model, label, set_ready(id));
                             }
                             AllocOutcome::Allocated(id) => {
                                 let t = now + rng.gen_range(1..300u64);
-                                vrf.set_loading(id, t);
-                                model.set_loading(id, t);
+                                both!(vrf, model, label, set_loading(id, t));
                             }
                             AllocOutcome::Reused(_) | AllocOutcome::Stall => {}
                         }
                         if let AllocOutcome::Allocated(id) | AllocOutcome::Reused(id) = got {
                             if rng.bounded(2) == 0 {
-                                vrf.add_ref(id);
-                                model.add_ref(id);
+                                both!(vrf, model, label, add_ref(id));
                                 held.push(id);
                             }
                         }
                     }
                     6 | 7 => {
                         now += rng.gen_range(0..80u64);
-                        vrf.complete_loads(now);
-                        model.complete_loads(now);
+                        both!(vrf, model, label, complete_loads(now));
                     }
                     8 | 9 => {
                         let id = rng.gen_range(0..num_regs);
                         if vrf.ready_at(id) == 0 {
                             let done = now + rng.gen_range(0..40u64);
-                            vrf.record_write(id, done);
-                            model.record_write(id, done);
+                            both!(vrf, model, label, record_write(id, done));
                         }
                     }
                     10 | 11 => {
                         if !held.is_empty() {
                             let id = held.swap_remove(rng.gen_range(0..held.len()));
-                            vrf.release_ref(id);
-                            model.release_ref(id);
+                            both!(vrf, model, label, release_ref(id));
                         }
                     }
                     12..=14 => {
                         now += rng.gen_range(0..20u64);
                         if let Some(id) = vrf.writeback_candidate(now) {
-                            assert_eq!(vrf.clean(id), model.clean(id), "{label}");
+                            let (got, want) = both!(vrf, model, label, clean(id));
+                            assert_eq!(got, want, "{label}");
                         }
                     }
                     _ => {
                         // A WB&Invalidate: the pipeline has drained first.
                         if rng.bounded(8) == 0 {
                             for id in held.drain(..) {
-                                vrf.release_ref(id);
-                                model.release_ref(id);
+                                both!(vrf, model, label, release_ref(id));
                             }
                             now += 300;
-                            vrf.complete_loads(now);
-                            model.complete_loads(now);
-                            assert_eq!(vrf.drain_dirty(), model.drain_dirty(), "{label}");
+                            both!(vrf, model, label, complete_loads(now));
+                            let (got, want) = both!(vrf, model, label, drain_dirty());
+                            assert_eq!(got, want, "{label}");
                         }
                     }
                 }
-                assert_eq!(vrf.dirty_count(), model.dirty_count(), "{label}");
                 assert_eq!(
                     vrf.writeback_candidate(now),
                     model.writeback_candidate(now),
@@ -440,15 +452,12 @@ fn vrf_matches_the_reference_model() {
                     );
                 }
             }
+            let label = format!("{num_regs} regs, case {case}");
             for id in held.drain(..) {
-                vrf.release_ref(id);
-                model.release_ref(id);
+                both!(vrf, model, label, release_ref(id));
             }
-            assert_eq!(
-                vrf.drain_dirty(),
-                model.drain_dirty(),
-                "{num_regs} regs, case {case}"
-            );
+            let (got, want) = both!(vrf, model, label, drain_dirty());
+            assert_eq!(got, want, "{label}");
         }
     }
 }

@@ -28,27 +28,38 @@ python3 perfbench/run.py --selftest
 echo "== fault-injection stress (release, auditor on)"
 SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
 
-echo "== trace smoke + golden-file check"
-# The trace format contains no wall-clock values, so the emitted bytes are
-# fully deterministic: any drift against the committed golden file is a
-# behavior change that must be reviewed. After an *intentional* change,
-# regenerate with `SPADE_UPDATE_GOLDEN=1 scripts/check.sh` and commit the
-# new golden file.
-golden=tests/golden/trace_smoke.trace.json
+# The trace format and JSON run reports contain no wall-clock values, so
+# their bytes are fully deterministic: any drift against a committed golden
+# file is a behavior change that must be reviewed. After an *intentional*
+# change, regenerate with `SPADE_UPDATE_GOLDEN=1 scripts/check.sh` and
+# commit the new golden files.
 smoke=$(mktemp /tmp/spade_trace_smoke.XXXXXX.json)
+runs=$(mktemp /tmp/spade_run_tiny.XXXXXX.json)
 bench_out=$(mktemp /tmp/spade_bench_perf.XXXXXX.json)
-trap 'rm -f "$smoke" "$bench_out"' EXIT
+trap 'rm -f "$smoke" "$runs" "$bench_out"' EXIT
+check_golden() { # <fresh output> <golden file>
+  if [ "${SPADE_UPDATE_GOLDEN:-0}" = "1" ]; then
+    cp "$1" "$2"
+    echo "updated $2"
+  elif ! cmp -s "$1" "$2"; then
+    echo "error: output drifted from $2" >&2
+    diff "$2" "$1" | head -20 >&2 || true
+    echo "if the change is intentional: SPADE_UPDATE_GOLDEN=1 scripts/check.sh" >&2
+    exit 1
+  fi
+}
+
+echo "== trace smoke + golden-file check"
 cargo run -q -p spade-cli -- trace myc --scale tiny --k 16 --pes 4 \
   --window 256 --out "$smoke"
-if [ "${SPADE_UPDATE_GOLDEN:-0}" = "1" ]; then
-  cp "$smoke" "$golden"
-  echo "updated $golden"
-elif ! cmp -s "$smoke" "$golden"; then
-  echo "error: trace output drifted from $golden" >&2
-  diff "$golden" "$smoke" | head -20 >&2 || true
-  echo "if the change is intentional: SPADE_UPDATE_GOLDEN=1 scripts/check.sh" >&2
-  exit 1
-fi
+check_golden "$smoke" tests/golden/trace_smoke.trace.json
+
+echo "== run reports + golden-file check (release)"
+# Simulated reports across the suite, not only one trace: Base SpMM and
+# SDDMM on all ten graphs plus plan variants on MYC and DEL.
+cargo build --release -q -p spade-cli
+scripts/golden_runs.sh ./target/release/spade-cli >"$runs"
+check_golden "$runs" tests/golden/run_tiny.json
 
 echo "== Fig 10 smoke (release, fast mode)"
 # The only release-mode run of Table 4's CFG0/CFG1, whose PEs take four
@@ -61,8 +72,7 @@ echo "== bench-perf regression gate (release)"
 # above the committed floor. bench-perf runs the pairs one at a time on
 # one worker, so neither driver's wall time absorbs the other's
 # interference (measured on a shared 2-core host, tiny suite, ten runs:
-# 1.52-1.62x, median 1.58x, 2.0-2.7 s each).
-cargo build --release -q -p spade-cli
+# 1.77-1.88x, median 1.84x, 1.5-2.6 s each).
 ./target/release/spade-cli bench-perf --scale tiny --k 32 --pes 8 \
   --gate-speedup 1.3 \
   --out "$bench_out" >/dev/null
@@ -75,7 +85,7 @@ echo "== bench-advise quality gate (release)"
 # land next to the summary for inspection.
 advise_model=$(mktemp /tmp/spade_advise.XXXXXX.model)
 advise_report=$(mktemp /tmp/spade_advise_acc.XXXXXX.json)
-trap 'rm -f "$smoke" "$bench_out" "$advise_model" "$advise_report"' EXIT
+trap 'rm -f "$smoke" "$runs" "$bench_out" "$advise_model" "$advise_report"' EXIT
 ./target/release/spade-cli bench-advise --scale tiny --k 32 --pes 8 \
   --gate-advise-speedup 100 --gate-advise-quality 1.05 \
   --out "$bench_out" --model-out "$advise_model" \
