@@ -86,6 +86,8 @@ series that no daemon request reads. advise --exact simulates every
 candidate (the --model's --top-n when a model loads), so only the CLI
 offers it. A value flag given twice is an error that names it; trace's
 <name> is its --benchmark, so trace <name> --benchmark <other> is one.
+--barriers places a barrier between column panels, so it does nothing
+without --cp N: the default --cp all is one panel.
 
 benchmarks: asi liv ork pap del kro myc pac roa ser";
 

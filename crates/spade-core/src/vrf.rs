@@ -116,11 +116,6 @@ impl Vrf {
         self.dirty_count() as f64 / self.num_regs() as f64
     }
 
-    /// Whether a fill is in flight for `id`.
-    fn loading(&self, id: VrId) -> bool {
-        !self.invalid.contains(id) && !self.resident.contains(id)
-    }
-
     /// `f(resident, dirty, referenced)` for each word of the status
     /// bitsets: a candidate set built word by word.
     fn status_words<'a>(
@@ -184,21 +179,13 @@ impl Vrf {
         self.resident.remove(id);
     }
 
-    /// Marks the register resident immediately (write-only destinations:
+    /// Marks the register resident: its fill has arrived (the PE's
+    /// dense-load harvest), or it needs none (write-only destinations:
     /// SDDMM output lines are fully produced, never read, §5.1).
     pub fn set_ready(&mut self, id: VrId) {
         self.ready[id] = 0;
         self.invalid.remove(id);
         self.resident.insert(id);
-    }
-
-    /// Promotes registers whose fills have arrived by `now`.
-    pub fn complete_loads(&mut self, now: Cycle) {
-        for id in 0..self.num_regs() {
-            if self.loading(id) && self.ready[id] <= now {
-                self.set_ready(id);
-            }
-        }
     }
 
     /// Whether `id` holds its data: its fill arrived, or it needed none.
@@ -291,20 +278,6 @@ impl Vrf {
         self.referenced.clear();
         n
     }
-
-    /// Whether every register is idle (no refs, no loads in flight). Dirty
-    /// registers are allowed — barriers do not force write-backs.
-    pub fn is_quiescent(&self) -> bool {
-        self.referenced.is_empty() && !(0..self.num_regs()).any(|id| self.loading(id))
-    }
-
-    /// Earliest in-flight fill completion, if any (for idle fast-forward).
-    pub fn next_load_completion(&self) -> Option<Cycle> {
-        (0..self.num_regs())
-            .filter(|&id| self.loading(id))
-            .map(|id| self.ready[id])
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +327,7 @@ mod tests {
         };
         v.set_loading(a, 100); // in flight -> not evictable
         assert_eq!(v.lookup_or_alloc(2, CL), AllocOutcome::Stall);
-        v.complete_loads(100);
+        v.set_ready(a); // the fill arrives
         v.add_ref(a); // referenced -> still not evictable
         assert_eq!(v.lookup_or_alloc(2, CL), AllocOutcome::Stall);
         v.release_ref(a);
@@ -383,10 +356,10 @@ mod tests {
         };
         v.set_loading(a, 50);
         assert_eq!(v.ready_at(a), 50);
-        v.complete_loads(49);
-        assert_eq!(v.ready_at(a), 50);
-        v.complete_loads(50);
+        assert!(!v.is_resident(a));
+        v.set_ready(a);
         assert_eq!(v.ready_at(a), 0);
+        assert!(v.is_resident(a));
     }
 
     #[test]
@@ -448,7 +421,7 @@ mod tests {
         drained.sort_unstable();
         assert_eq!(drained, vec![0, 2]);
         assert_eq!(v.dirty_count(), 0);
-        assert!(v.is_quiescent());
+        assert!((0..4).all(|id| v.ready_at(id) == Cycle::MAX));
         // Every register is reusable again.
         for line in 10..14 {
             assert!(matches!(
@@ -456,23 +429,6 @@ mod tests {
                 AllocOutcome::Allocated(_)
             ));
         }
-    }
-
-    #[test]
-    fn quiescence_ignores_dirty_but_not_loading() {
-        let mut v = Vrf::new(2);
-        let AllocOutcome::Allocated(a) = v.lookup_or_alloc(1, CL) else {
-            panic!()
-        };
-        v.set_ready(a);
-        v.record_write(a, 0);
-        assert!(v.is_quiescent());
-        let AllocOutcome::Allocated(b) = v.lookup_or_alloc(2, CL) else {
-            panic!()
-        };
-        v.set_loading(b, 99);
-        assert!(!v.is_quiescent());
-        assert_eq!(v.next_load_completion(), Some(99));
     }
 
     #[test]

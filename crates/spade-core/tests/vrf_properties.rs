@@ -3,12 +3,34 @@
 //! operation sequences drawn from a deterministic RNG stream, and
 //! choice-for-choice agreement with a reference model of the VRF.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use spade_core::vrf::{AllocOutcome, VrId, Vrf};
 use spade_matrix::rng::Rng64;
-use spade_sim::DataClass;
+use spade_sim::{Cycle, DataClass};
 
-/// A randomized VRF workout: allocate/reuse lines, complete loads, write,
-/// clean — mirroring what the vOp generator and write-back manager do.
+/// Fills in flight as (completion, register), earliest first: the PE's
+/// dense-load heap.
+type Fills = BinaryHeap<Reverse<(Cycle, VrId)>>;
+
+/// Pops every fill that has arrived by `now`, earliest first, as the PE's
+/// harvest does before it promotes each register with `set_ready`.
+fn arrived(fills: &mut Fills, now: Cycle) -> Vec<VrId> {
+    let mut out = Vec::new();
+    while let Some(&Reverse((done, id))) = fills.peek() {
+        if done > now {
+            break;
+        }
+        fills.pop();
+        out.push(id);
+    }
+    out
+}
+
+/// A randomized VRF workout: allocate/reuse lines, harvest arrived fills,
+/// write, clean — mirroring what the vOp generator, the PE's dense-load
+/// harvest and the write-back manager do.
 #[derive(Debug, Clone)]
 enum Op {
     Lookup(u64),
@@ -39,6 +61,7 @@ fn vrf_invariants_hold_under_arbitrary_sequences() {
         // Shadow state: how many refs we have taken, per register.
         let mut refs_taken: Vec<u32> = vec![0; 8];
         let mut ready: Vec<bool> = vec![false; 8];
+        let mut fills = Fills::new();
         let mut now = 0u64;
 
         for op in ops {
@@ -49,6 +72,7 @@ fn vrf_invariants_hold_under_arbitrary_sequences() {
                             // Caller contract: every allocation is followed
                             // by a fill (or immediate ready).
                             vrf.set_loading(id, now + 10);
+                            fills.push(Reverse((now + 10, id)));
                             ready[id] = false;
                             vrf.add_ref(id);
                             refs_taken[id] += 1;
@@ -77,11 +101,10 @@ fn vrf_invariants_hold_under_arbitrary_sequences() {
                 }
                 Op::CompleteLoads(t) => {
                     now = now.max(t);
-                    vrf.complete_loads(now);
-                    for (i, r) in ready.iter_mut().enumerate() {
-                        if vrf.ready_at(i) == 0 {
-                            *r = true;
-                        }
+                    for id in arrived(&mut fills, now) {
+                        vrf.set_ready(id);
+                        assert_eq!(vrf.ready_at(id), 0, "case {case}");
+                        ready[id] = true;
                     }
                 }
                 Op::Write(i, t) => {
@@ -127,7 +150,10 @@ fn vrf_invariants_hold_under_arbitrary_sequences() {
         let drained = vrf.drain_dirty();
         assert!(drained.len() <= 8);
         assert_eq!(vrf.dirty_count(), 0);
-        assert!(vrf.is_quiescent(), "case {case}: VRF not quiescent");
+        assert!(
+            (0..8).all(|id| vrf.ready_at(id) == Cycle::MAX),
+            "case {case}: a register survived the drain"
+        );
     }
 }
 
@@ -243,16 +269,6 @@ mod reference {
             self.regs[id].state = VrState::Ready;
         }
 
-        pub fn complete_loads(&mut self, now: Cycle) {
-            for r in &mut self.regs {
-                if let VrState::Loading { ready_at } = r.state {
-                    if ready_at <= now {
-                        r.state = VrState::Ready;
-                    }
-                }
-            }
-        }
-
         pub fn ready_at(&self, id: VrId) -> Cycle {
             match self.regs[id].state {
                 VrState::Invalid => Cycle::MAX,
@@ -309,22 +325,6 @@ mod reference {
             }
             out
         }
-
-        pub fn is_quiescent(&self) -> bool {
-            self.regs
-                .iter()
-                .all(|r| r.refs == 0 && !matches!(r.state, VrState::Loading { .. }))
-        }
-
-        pub fn next_load_completion(&self) -> Option<Cycle> {
-            self.regs
-                .iter()
-                .filter_map(|r| match r.state {
-                    VrState::Loading { ready_at } => Some(ready_at),
-                    _ => None,
-                })
-                .min()
-        }
     }
 }
 
@@ -352,8 +352,8 @@ macro_rules! both {
 }
 
 /// Drives [`Vrf`] and the reference model with one random operation
-/// stream — the vOp generator's and write-back manager's calls, plus
-/// mid-stream flushes — and requires identical answers after every
+/// stream — the vOp generator's, dense-load harvest's and write-back
+/// manager's calls, plus mid-stream flushes — and requires identical answers after every
 /// operation, and an identical dirty count and dirty fraction after every
 /// call, at register counts inside one bitset word, filling it, and
 /// spanning two.
@@ -367,6 +367,7 @@ fn vrf_matches_the_reference_model() {
             let mut model = reference::RefVrf::new(num_regs);
             // References taken, per register, so releases stay balanced.
             let mut held: Vec<VrId> = Vec::new();
+            let mut fills = Fills::new();
             let mut now = 0u64;
             let lines = 3 * num_regs as u64;
             let num_ops = rng.gen_range(1usize..1500);
@@ -385,6 +386,7 @@ fn vrf_matches_the_reference_model() {
                             AllocOutcome::Allocated(id) => {
                                 let t = now + rng.gen_range(1..300u64);
                                 both!(vrf, model, label, set_loading(id, t));
+                                fills.push(Reverse((t, id)));
                             }
                             AllocOutcome::Reused(_) | AllocOutcome::Stall => {}
                         }
@@ -397,7 +399,9 @@ fn vrf_matches_the_reference_model() {
                     }
                     6 | 7 => {
                         now += rng.gen_range(0..80u64);
-                        both!(vrf, model, label, complete_loads(now));
+                        for id in arrived(&mut fills, now) {
+                            both!(vrf, model, label, set_ready(id));
+                        }
                     }
                     8 | 9 => {
                         let id = rng.gen_range(0..num_regs);
@@ -426,7 +430,10 @@ fn vrf_matches_the_reference_model() {
                                 both!(vrf, model, label, release_ref(id));
                             }
                             now += 300;
-                            both!(vrf, model, label, complete_loads(now));
+                            for id in arrived(&mut fills, now) {
+                                both!(vrf, model, label, set_ready(id));
+                            }
+                            assert!(fills.is_empty(), "{label}");
                             let (got, want) = both!(vrf, model, label, drain_dirty());
                             assert_eq!(got, want, "{label}");
                         }
@@ -435,12 +442,6 @@ fn vrf_matches_the_reference_model() {
                 assert_eq!(
                     vrf.writeback_candidate(now),
                     model.writeback_candidate(now),
-                    "{label}"
-                );
-                assert_eq!(vrf.is_quiescent(), model.is_quiescent(), "{label}");
-                assert_eq!(
-                    vrf.next_load_completion(),
-                    model.next_load_completion(),
                     "{label}"
                 );
                 for id in 0..num_regs {

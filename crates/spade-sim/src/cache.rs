@@ -19,9 +19,8 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the capacity is smaller than `ways` lines, or if `ways`
-    /// exceeds 64 (sets are tracked with per-set 64-bit valid/dirty masks;
-    /// the largest modeled associativity, the 20-way L2, is far below
-    /// this).
+    /// exceeds 64 (a tag word has six bits for its way; the largest
+    /// modeled associativity, the 20-way L2, is far below this).
     pub fn new(size_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "a cache needs at least one way");
         assert!(ways <= 64, "at most 64 ways per set (got {ways})");
@@ -80,31 +79,64 @@ impl AccessOutcome {
     }
 }
 
-const INVALID: Line = Line::MAX;
+/// Tag-word layout: the line in the low 56 bits, then the physical way
+/// (6 bits), the dirty bit and the valid bit. An empty slot is all zeros.
+const WAY_SHIFT: u32 = 56;
+const LINE_MASK: u64 = (1 << WAY_SHIFT) - 1;
+const DIRTY: u64 = 1 << 62;
+const VALID: u64 = 1 << 63;
+/// The bits a lookup compares: valid and line, not way or dirty.
+const KEY_MASK: u64 = VALID | LINE_MASK;
+
+/// The word a lookup of `line` matches (before way and dirty bits).
+#[inline]
+fn key(line: Line) -> u64 {
+    assert!(line <= LINE_MASK, "line {line:#x} is not below 2^56");
+    VALID | line
+}
+
+/// The physical way a tag word occupies.
+#[inline]
+fn way_of(word: u64) -> u64 {
+    (word >> WAY_SHIFT) & 63
+}
 
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement. Tag-only: it tracks presence, dirtiness and recency, not
 /// data (functional values are computed by the caller).
 ///
 /// Used for every cache-like structure in the modeled system: PE L1s, the
-/// bypass-buffer victim cache, core L2s, LLC slices, and the baseline CPU
-/// caches.
+/// bypass-buffer victim cache, core L2s, LLC slices, the STLBs (over page
+/// numbers) and the baseline CPU caches.
 ///
-/// # Packed set storage
+/// # Recency-ordered sets
 ///
-/// Each set's replacement state is packed for one cache-friendly pass:
-/// tags are set-major (empty ways hold a sentinel that can never match),
-/// valid and dirty bits live in one 64-bit mask per set, and recency is a
-/// byte of *rank* per slot — 0 is the most recently used of the set's
-/// valid ways, `n−1` the least. A lookup is a single tag scan; a fill
-/// finds the first free way with one mask op instead of a second scan;
-/// and the LRU victim is the way whose rank byte equals `ways − 1`.
+/// Each set is one run of `ways` tag words kept in recency order, most
+/// recent first. A word packs the line, the physical way the line
+/// occupies, a dirty bit and a valid bit; the set's empty slots are
+/// all-zero words at its tail. A hit moves its word to the front. A miss
+/// shifts the set back one slot and writes the new word at the front, in
+/// the lowest physical way no word holds, so the victim of a full set is
+/// its last word. One lookup reads only the set's own words: every set
+/// starts on a 64-byte boundary, and its stride is `ways` rounded up to a
+/// power of two (at most eight ways) or to a multiple of eight, so a set
+/// of up to eight ways sits in one host cache line.
 ///
-/// Ranks replace the previous global-counter timestamps. The two encode
-/// the same total order (ranks are the descending-stamp order of the
-/// valid ways), so every hit/miss/eviction decision is unchanged; the
-/// stamp-LRU reference model in `tests/cache_properties.rs` pins this.
-/// Unlike stamps, re-touching the MRU way mutates nothing at all.
+/// Physical ways only order flushes: [`Cache::writeback_invalidate_all`]
+/// reports dirty lines by ascending set, then ascending way. Every
+/// decision (hit or miss, victim and its dirtiness, the way a fill takes,
+/// flush order) matches a cache that stamps each access with a global
+/// tick and evicts the minimum stamp; the stamp-LRU reference model in
+/// `tests/cache_properties.rs` pins this, `invalidate` included.
+///
+/// The backing vector is allocated zeroed, so a fresh cache is handed
+/// over as zero pages with no fill pass.
+///
+/// # Panics
+///
+/// Line addresses must be below 2^56 (the six way bits and the two flag
+/// bits sit above them); [`Cache::access`], [`Cache::probe`] and
+/// [`Cache::invalidate`] assert it.
 ///
 /// # Example
 ///
@@ -115,21 +147,17 @@ const INVALID: Line = Line::MAX;
 /// assert!(!c.access(3, false).is_hit()); // cold miss
 /// assert!(c.access(3, false).is_hit());  // now resident
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: usize,
-    /// Per-slot tags, set-major; empty ways hold [`INVALID`].
-    tags: Vec<Line>,
-    /// Per-slot recency rank among the *valid* ways of its set (0 = MRU).
-    /// Bytes of invalid slots are meaningless.
-    rank: Vec<u8>,
-    /// Per-set valid bitmask (bit `w` set ⇔ way `w` holds a line).
-    valid: Vec<u64>,
-    /// Per-set dirty bitmask; always a subset of `valid`.
-    dirty: Vec<u64>,
-    /// Mask covering all ways of one set.
-    way_mask: u64,
+    /// Words from one set's start to the next's.
+    stride: usize,
+    /// Index of the first word on a 64-byte boundary: set `s` occupies
+    /// `words[off + s * stride..][..ways]`.
+    off: usize,
+    /// Tag words, set-major, in recency order within each set.
+    words: Vec<u64>,
     /// Valid-line count, kept incrementally so flushes of an empty cache
     /// are O(1).
     live: usize,
@@ -142,20 +170,21 @@ impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.num_sets();
-        let n = sets * config.ways;
-        let way_mask = if config.ways == 64 {
-            u64::MAX
+        let stride = if config.ways <= 8 {
+            config.ways.next_power_of_two()
         } else {
-            (1u64 << config.ways) - 1
+            config.ways.next_multiple_of(8)
         };
+        // Seven spare words let the sets start at the first 64-byte
+        // boundary of the (8-byte-aligned) allocation.
+        let words = vec![0u64; sets * stride + 7];
+        let off = words.as_ptr().addr().wrapping_neg() % 64 / 8;
         Cache {
             config,
             sets,
-            tags: vec![INVALID; n],
-            rank: vec![0; n],
-            valid: vec![0; sets],
-            dirty: vec![0; sets],
-            way_mask,
+            stride,
+            off,
+            words,
             live: 0,
             dirty_n: 0,
         }
@@ -166,147 +195,76 @@ impl Cache {
         self.config
     }
 
+    /// The word range of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: Line) -> usize {
-        (line % self.sets as u64) as usize
-    }
-
-    /// Makes way `w` the most recent of its set, shifting the valid ways
-    /// that were more recent one step older. A no-op when `w` is already
-    /// the MRU way.
-    #[inline]
-    fn promote(&mut self, set: usize, base: usize, w: usize) {
-        let r = self.rank[base + w];
-        if r == 0 {
-            return;
-        }
-        let mut m = self.valid[set];
-        while m != 0 {
-            let v = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.rank[base + v] < r {
-                self.rank[base + v] += 1;
-            }
-        }
-        self.rank[base + w] = 0;
-    }
-
-    /// Shifts every valid way of `set` one step older (ahead of inserting
-    /// a fresh MRU line).
-    #[inline]
-    fn age_valid(&mut self, set: usize, base: usize) {
-        let mut m = self.valid[set];
-        while m != 0 {
-            let v = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.rank[base + v] += 1;
-        }
+    fn set_of(&self, line: Line) -> std::ops::Range<usize> {
+        let base = self.off + (line % self.sets as u64) as usize * self.stride;
+        base..base + self.config.ways
     }
 
     /// Looks up `line`, filling it on a miss (write-allocate). `is_write`
     /// marks the line dirty.
     pub fn access(&mut self, line: Line, is_write: bool) -> AccessOutcome {
-        debug_assert_ne!(line, INVALID, "the sentinel line address is reserved");
-        let set = self.set_of(line);
-        let ways = self.config.ways;
-        let base = set * ways;
-
-        // One pass over the set's tags: empty ways hold the sentinel, so
-        // this single scan decides hit vs miss (free-way choice comes from
-        // the valid mask, victim choice from the rank bytes).
-        for w in 0..ways {
-            if self.tags[base + w] == line {
-                self.promote(set, base, w);
-                let bit = 1u64 << w;
-                if is_write && self.dirty[set] & bit == 0 {
-                    self.dirty[set] |= bit;
-                    self.dirty_n += 1;
-                }
-                return AccessOutcome::Hit;
+        let key = key(line);
+        let range = self.set_of(line);
+        let set = &mut self.words[range];
+        if let Some(i) = set.iter().position(|&w| w & KEY_MASK == key) {
+            let mut word = set[i];
+            if is_write && word & DIRTY == 0 {
+                word |= DIRTY;
+                self.dirty_n += 1;
             }
+            set.copy_within(..i, 1);
+            set[0] = word;
+            return AccessOutcome::Hit;
         }
 
-        // Miss: lowest-index free way straight from the mask, else the
-        // LRU way (rank ways−1; ranks of a full set are a permutation).
-        let free = !self.valid[set] & self.way_mask;
-        let (w, victim) = if free != 0 {
-            let w = free.trailing_zeros() as usize;
+        // Miss: a set with an empty tail fills the lowest physical way no
+        // word holds; a full set evicts its last (least recent) word.
+        let last = set[set.len() - 1];
+        let (way, victim) = if last & VALID == 0 {
+            let held = set
+                .iter()
+                .take_while(|&&w| w != 0)
+                .fold(0u64, |held, &w| held | 1 << way_of(w));
             self.live += 1;
-            self.age_valid(set, base);
-            (w, None)
+            (u64::from((!held).trailing_zeros()), None)
         } else {
-            let mut w = 0;
-            for i in 0..ways {
-                if self.rank[base + i] as usize == ways - 1 {
-                    w = i;
-                    break;
-                }
-            }
-            debug_assert_eq!(self.rank[base + w] as usize, ways - 1);
-            let bit = 1u64 << w;
-            let was_dirty = self.dirty[set] & bit != 0;
-            if was_dirty {
-                self.dirty[set] &= !bit;
-                self.dirty_n -= 1;
-            }
+            let dirty = last & DIRTY != 0;
+            self.dirty_n -= usize::from(dirty);
             let victim = Victim {
-                line: self.tags[base + w],
-                dirty: was_dirty,
+                line: last & LINE_MASK,
+                dirty,
             };
-            // The victim was the oldest way, so dropping it preserves the
-            // relative order of the rest; age them and insert at rank 0.
-            self.valid[set] &= !bit;
-            self.age_valid(set, base);
-            (w, Some(victim))
+            (way_of(last), Some(victim))
         };
-        let bit = 1u64 << w;
-        self.tags[base + w] = line;
-        self.rank[base + w] = 0;
-        self.valid[set] |= bit;
-        if is_write {
-            self.dirty[set] |= bit;
-            self.dirty_n += 1;
-        }
+        set.copy_within(..set.len() - 1, 1);
+        set[0] = key | way << WAY_SHIFT | if is_write { DIRTY } else { 0 };
+        self.dirty_n += usize::from(is_write);
         AccessOutcome::Miss { victim }
     }
 
     /// Checks for presence without touching LRU state or filling.
     pub fn probe(&self, line: Line) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.config.ways;
-        self.tags[base..base + self.config.ways].contains(&line)
+        let key = key(line);
+        self.words[self.set_of(line)]
+            .iter()
+            .any(|&w| w & KEY_MASK == key)
     }
 
-    /// Invalidates `line` if present, returning whether it was dirty.
+    /// Invalidates `line` if present, returning whether it was dirty. The
+    /// surviving lines of its set keep their recency order.
     pub fn invalidate(&mut self, line: Line) -> Option<bool> {
-        let set = self.set_of(line);
-        let base = set * self.config.ways;
-        for w in 0..self.config.ways {
-            if self.tags[base + w] == line {
-                let bit = 1u64 << w;
-                self.tags[base + w] = INVALID;
-                self.valid[set] &= !bit;
-                self.live -= 1;
-                let was_dirty = self.dirty[set] & bit != 0;
-                if was_dirty {
-                    self.dirty[set] &= !bit;
-                    self.dirty_n -= 1;
-                }
-                // Close the recency gap so surviving ranks stay a dense
-                // permutation (their relative order is untouched).
-                let r = self.rank[base + w];
-                let mut m = self.valid[set];
-                while m != 0 {
-                    let v = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if self.rank[base + v] > r {
-                        self.rank[base + v] -= 1;
-                    }
-                }
-                return Some(was_dirty);
-            }
-        }
-        None
+        let key = key(line);
+        let range = self.set_of(line);
+        let set = &mut self.words[range];
+        let i = set.iter().position(|&w| w & KEY_MASK == key)?;
+        let dirty = set[i] & DIRTY != 0;
+        set.copy_within(i + 1.., i);
+        set[set.len() - 1] = 0;
+        self.live -= 1;
+        self.dirty_n -= usize::from(dirty);
+        Some(dirty)
     }
 
     /// Writes back and invalidates everything, returning the dirty lines
@@ -320,74 +278,78 @@ impl Cache {
     }
 
     /// Writes back and invalidates everything, appending the dirty lines
-    /// to `out` in ascending tag-index order (deterministic: the same
-    /// order [`Cache::writeback_invalidate_all`] has always produced) and
+    /// to `out` by ascending set, then ascending physical way, and
     /// returning how many were appended.
     ///
     /// Allocation-free fast paths: a cache with no valid lines returns
-    /// without touching any array, and a cache with valid-but-clean
-    /// contents invalidates in bulk without collecting anything — the
-    /// common cases on flush-heavy plans, where most per-tile flushes find
-    /// the L1/BBF already clean. When there *are* dirty lines, only the
-    /// per-set dirty masks are walked, not every slot.
+    /// without touching its words, and a cache with valid-but-clean
+    /// contents zeroes them without collecting anything — the common
+    /// cases on flush-heavy plans, where most per-tile flushes find the
+    /// L1/BBF already clean. Otherwise the walk stops at the set holding
+    /// the last dirty line, and each set's few dirty words are sorted by
+    /// way.
     pub fn writeback_invalidate_all_into(&mut self, out: &mut Vec<Line>) -> usize {
         if self.live == 0 {
-            debug_assert!(self.valid.iter().all(|&m| m == 0));
-            debug_assert!(self.tags.iter().all(|&t| t == INVALID));
+            debug_assert!(self.words.iter().all(|&w| w == 0));
             return 0;
         }
         let n = self.dirty_n;
-        if n == 0 {
-            debug_assert!(self.dirty.iter().all(|&m| m == 0));
-            self.tags.fill(INVALID);
-            self.valid.fill(0);
-            self.live = 0;
-            return 0;
-        }
-        let ways = self.config.ways;
         let mut found = 0;
-        for set in 0..self.sets {
-            let mut m = self.dirty[set];
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                out.push(self.tags[set * ways + w]);
-                found += 1;
-            }
+        let sets = &self.words[self.off..self.off + self.sets * self.stride];
+        for set in sets.chunks_exact(self.stride) {
             if found == n {
                 break;
             }
+            let start = out.len();
+            out.extend(set[..self.config.ways].iter().filter(|&&w| w & DIRTY != 0));
+            out[start..].sort_unstable_by_key(|&w| way_of(w));
+            for w in &mut out[start..] {
+                *w &= LINE_MASK;
+            }
+            found += out.len() - start;
         }
         debug_assert_eq!(found, n);
-        self.tags.fill(INVALID);
-        self.valid.fill(0);
-        self.dirty.fill(0);
+        self.words.fill(0);
         self.live = 0;
         self.dirty_n = 0;
         n
     }
 
-    /// Number of currently valid lines. The mask popcount doubles as an
-    /// independent cross-check of the incremental counter (and of the tag
-    /// sentinels) in debug builds.
+    /// Number of currently valid lines. Debug builds cross-check the
+    /// incremental counter against the words, and that each set's valid
+    /// words form a prefix.
     pub fn occupancy(&self) -> usize {
-        let n: usize = self.valid.iter().map(|m| m.count_ones() as usize).sum();
-        debug_assert_eq!(n, self.live);
-        debug_assert_eq!(self.tags.iter().filter(|&&t| t != INVALID).count(), n);
-        n
+        debug_assert_eq!(
+            self.words.iter().filter(|&&w| w & VALID != 0).count(),
+            self.live
+        );
+        debug_assert!(self.words[self.off..]
+            .chunks(self.stride)
+            .all(|set| set.windows(2).all(|p| p[0] != 0 || p[1] == 0)));
+        self.live
     }
 
-    /// Number of currently dirty lines (mask-based cross-check, as with
-    /// [`Cache::occupancy`]).
+    /// Number of currently dirty lines (cross-checked against the words in
+    /// debug builds, as with [`Cache::occupancy`]).
     pub fn dirty_count(&self) -> usize {
-        let n: usize = self.dirty.iter().map(|m| m.count_ones() as usize).sum();
-        debug_assert_eq!(n, self.dirty_n);
-        debug_assert!(self
-            .valid
-            .iter()
-            .zip(&self.dirty)
-            .all(|(&v, &d)| d & !v == 0));
-        n
+        debug_assert_eq!(
+            self.words.iter().filter(|&&w| w & DIRTY != 0).count(),
+            self.dirty_n
+        );
+        debug_assert!(self.words.iter().all(|&w| w & DIRTY == 0 || w & VALID != 0));
+        self.dirty_n
+    }
+}
+
+impl Clone for Cache {
+    /// Copies the sets into a fresh allocation aligned like the original.
+    fn clone(&self) -> Self {
+        let mut copy = Cache::new(self.config);
+        let len = self.sets * self.stride;
+        copy.words[copy.off..copy.off + len].copy_from_slice(&self.words[self.off..self.off + len]);
+        copy.live = self.live;
+        copy.dirty_n = self.dirty_n;
+        copy
     }
 }
 
@@ -519,7 +481,7 @@ mod tests {
         let mut buf = Vec::with_capacity(8);
         let cap = buf.capacity();
         assert_eq!(c.writeback_invalidate_all_into(&mut buf), 2);
-        // Tag-index order: set 0's ways hold [2, 0] in fill order.
+        // Way order: line 2 filled set 0's way 0, line 0 its way 1.
         assert_eq!(buf, vec![2, 0]);
         assert_eq!(buf.capacity(), cap);
         // Flushing the now-empty cache is a no-op on the buffer.
@@ -546,7 +508,7 @@ mod tests {
         for i in 0..16u64 {
             c.access(i, i.is_multiple_of(3));
             // occupancy()/dirty_count() debug_assert the incremental
-            // counters against the masks.
+            // counters against the tag words.
             let _ = (c.occupancy(), c.dirty_count());
         }
         c.invalidate(15);
@@ -587,13 +549,39 @@ mod tests {
 
     #[test]
     fn mru_retouch_is_a_pure_no_op() {
-        // Rank-based LRU: re-accessing the MRU way must leave the whole
-        // cache state (not just decisions) unchanged.
+        // Re-accessing the most recent line must leave the whole cache
+        // state (not just decisions) unchanged.
         let mut c = tiny();
         c.access(0, false);
         c.access(2, true);
         let before = format!("{c:?}");
         c.access(2, true);
         assert_eq!(format!("{c:?}"), before);
+    }
+
+    #[test]
+    fn sets_start_on_64_byte_boundaries() {
+        for (size, ways) in [(256, 2), (3 * 1024, 3), (48 * 1024, 12), (20 * 1280, 20)] {
+            let c = Cache::new(CacheConfig::new(size, ways));
+            assert_eq!((c.words.as_ptr().addr() + 8 * c.off) % 64, 0);
+            assert_eq!(c.stride.is_multiple_of(8), ways > 4, "{ways} ways");
+            assert!(c.stride >= ways);
+            let copy = c.clone();
+            assert_eq!((copy.words.as_ptr().addr() + 8 * copy.off) % 64, 0);
+        }
+    }
+
+    #[test]
+    fn a_fill_after_invalidate_takes_the_freed_way() {
+        let mut c = Cache::new(CacheConfig::new(4 * 64, 4)); // one 4-way set
+        for line in [10, 11, 12, 13] {
+            c.access(line, true); // ways 0..3 in fill order
+        }
+        c.invalidate(11); // frees way 1
+        c.access(14, true); // most recent, but in way 1
+        let copy = c.clone();
+        assert_eq!(c.writeback_invalidate_all(), vec![10, 14, 12, 13]);
+        assert_eq!(copy.occupancy(), 4);
+        assert_eq!(copy.dirty_count(), 4);
     }
 }

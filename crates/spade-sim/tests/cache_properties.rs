@@ -134,10 +134,10 @@ fn bypass_reads_leave_caches_cold() {
 }
 
 /// A straightforward stamp-based LRU model: every hit or fill takes a
-/// fresh global tick, misses fill the lowest-index invalid way first and
-/// otherwise evict the minimum-stamp (least recent) way. This is the
-/// behavior the packed rank-byte cache must reproduce decision for
-/// decision.
+/// fresh global tick, misses fill the lowest-index free way first and
+/// otherwise evict the minimum-stamp (least recent) way, and an
+/// invalidation frees its slot. This is the behavior the recency-ordered
+/// cache must reproduce decision for decision.
 struct StampCache {
     sets: usize,
     ways: usize,
@@ -162,19 +162,24 @@ impl StampCache {
         }
     }
 
-    fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+    fn set(&mut self, line: u64) -> &mut [Option<StampLine>] {
         let base = (line % self.sets as u64) as usize * self.ways;
-        let set = &mut self.slots[base..base + self.ways];
+        &mut self.slots[base..base + self.ways]
+    }
+
+    fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
         self.tick += 1;
+        let tick = self.tick;
+        let set = self.set(line);
         if let Some(s) = set.iter_mut().flatten().find(|s| s.line == line) {
-            s.stamp = self.tick;
+            s.stamp = tick;
             s.dirty |= is_write;
             return AccessOutcome::Hit;
         }
         let fill = StampLine {
             line,
             dirty: is_write,
-            stamp: self.tick,
+            stamp: tick,
         };
         if let Some(free) = set.iter_mut().find(|s| s.is_none()) {
             *free = Some(fill);
@@ -194,27 +199,35 @@ impl StampCache {
         }
     }
 
-    fn dirty_lines_sorted(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .slots
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let slot = self
+            .set(line)
+            .iter_mut()
+            .find(|s| s.is_some_and(|s| s.line == line))?;
+        slot.take().map(|s| s.dirty)
+    }
+
+    /// Dirty lines by slot: ascending set, then ascending way.
+    fn dirty_lines(&self) -> Vec<u64> {
+        self.slots
             .iter()
             .flatten()
             .filter(|s| s.dirty)
             .map(|s| s.line)
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 }
 
-/// The packed tag/rank/bitmask cache makes exactly the decisions of the
+/// The recency-ordered cache makes exactly the decisions of the
 /// stamp-based LRU reference — same hit/miss outcome, same victim, same
-/// dirty set — over randomized streams across several geometries.
+/// invalidation result, same dirty lines in the same flush order — over
+/// randomized streams with interleaved invalidations, on geometries up to
+/// 24 ways, whose sets span several 64-byte blocks.
 #[test]
 fn packed_cache_matches_the_stamp_lru_reference() {
     let mut rng = Rng(0x4ef5_7a4b);
     for case in 0..192 {
-        let ways = 1 + rng.bounded(8) as usize;
+        let ways = 1 + rng.bounded(24) as usize;
         let sets = 1 + rng.bounded(8) as usize;
         let config = CacheConfig::new(sets * ways * 64, ways);
         let mut packed = Cache::new(config);
@@ -222,23 +235,35 @@ fn packed_cache_matches_the_stamp_lru_reference() {
         let universe = 1 + rng.bounded(4 * config.num_lines() as u64);
         for op in 0..400 {
             let line = rng.bounded(universe);
-            let write = rng.gen_bool();
-            let got = packed.access(line, write);
-            let want = reference.access(line, write);
-            assert_eq!(
-                got, want,
-                "case {case} op {op}: packed cache diverged from the stamp \
-                 reference ({sets} sets x {ways} ways, line {line}, write={write})"
-            );
+            let ctx = format!("case {case} op {op} ({sets} sets x {ways} ways, line {line})");
+            if rng.bounded(8) == 0 {
+                let got = packed.invalidate(line);
+                assert_eq!(got, reference.invalidate(line), "{ctx}: invalidate");
+            } else {
+                let write = rng.gen_bool();
+                let got = packed.access(line, write);
+                assert_eq!(got, reference.access(line, write), "{ctx}, write={write}");
+            }
         }
-        let mut packed_dirty = packed.writeback_invalidate_all();
-        packed_dirty.sort_unstable();
+        let want = reference.dirty_lines();
+        assert_eq!(packed.dirty_count(), want.len(), "case {case}");
         assert_eq!(
-            packed_dirty,
-            reference.dirty_lines_sorted(),
-            "case {case}: dirty sets diverged"
+            packed.writeback_invalidate_all(),
+            want,
+            "case {case}: flush order diverged"
         );
+        assert_eq!(packed.occupancy(), 0, "case {case}");
     }
+}
+
+/// Tag words keep the line in 56 bits, so a larger line address is
+/// refused instead of aliasing another line.
+#[test]
+#[should_panic(expected = "not below 2^56")]
+fn lines_at_or_above_2_pow_56_are_rejected() {
+    let mut cache = Cache::new(CacheConfig::new(1024, 2));
+    cache.access((1 << 56) - 1, false);
+    cache.access(1 << 56, false);
 }
 
 /// The flush operation leaves no dirty state behind: a second flush

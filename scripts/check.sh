@@ -36,7 +36,8 @@ SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
 smoke=$(mktemp /tmp/spade_trace_smoke.XXXXXX.json)
 runs=$(mktemp /tmp/spade_run_tiny.XXXXXX.json)
 bench_out=$(mktemp /tmp/spade_bench_perf.XXXXXX.json)
-trap 'rm -f "$smoke" "$runs" "$bench_out"' EXIT
+bench_cycles=$(mktemp /tmp/spade_bench_cycles.XXXXXX.txt)
+trap 'rm -f "$smoke" "$runs" "$bench_out" "$bench_cycles"' EXIT
 check_golden() { # <fresh output> <golden file>
   if [ "${SPADE_UPDATE_GOLDEN:-0}" = "1" ]; then
     cp "$1" "$2"
@@ -72,10 +73,15 @@ echo "== bench-perf regression gate (release)"
 # above the committed floor. bench-perf runs the pairs one at a time on
 # one worker, so neither driver's wall time absorbs the other's
 # interference (measured on a shared 2-core host, tiny suite, ten runs:
-# 1.77-1.88x, median 1.84x, 1.5-2.6 s each).
+# 1.95-2.01x, median 1.98x, 1.4-2.2 s each).
 ./target/release/spade-cli bench-perf --scale tiny --k 32 --pes 8 \
   --gate-speedup 1.3 \
   --out "$bench_out" >/dev/null
+# Its 20 Base jobs run on `machines::spade_system(8)` (16-way L2, 2-way
+# victim cache, 12-way LLC), geometries the request-machine reports in
+# run_tiny.json do not cover, so their simulated cycles are pinned too.
+scripts/bench_cycles.py "$bench_out" >"$bench_cycles"
+check_golden "$bench_cycles" tests/golden/bench_perf_tiny_cycles.txt
 
 echo "== bench-advise quality gate (release)"
 # Millisecond plan selection vs the simulated ground truth: per-benchmark
@@ -85,7 +91,7 @@ echo "== bench-advise quality gate (release)"
 # land next to the summary for inspection.
 advise_model=$(mktemp /tmp/spade_advise.XXXXXX.model)
 advise_report=$(mktemp /tmp/spade_advise_acc.XXXXXX.json)
-trap 'rm -f "$smoke" "$runs" "$bench_out" "$advise_model" "$advise_report"' EXIT
+trap 'rm -f "$smoke" "$runs" "$bench_out" "$bench_cycles" "$advise_model" "$advise_report"' EXIT
 ./target/release/spade-cli bench-advise --scale tiny --k 32 --pes 8 \
   --gate-advise-speedup 100 --gate-advise-quality 1.05 \
   --out "$bench_out" --model-out "$advise_model" \
