@@ -13,8 +13,8 @@
 //!   a rename within one filesystem is atomic, so a reader only ever
 //!   observes either no entry or a complete one. A crash mid-write leaves
 //!   a `*.partial` temp file that no reader ever opens; leftovers are
-//!   swept on the next [`ResultCache::open`]. The index and saved cost
-//!   models are written by the same routine.
+//!   swept on the next [`ResultCache::open`]. Saved cost models are
+//!   written by the same routine.
 //! * **Self-verifying entries.** Every file carries a magic + format
 //!   version header and a length + FNV-1a checksum footer. A reader
 //!   validates all four before trusting a byte; any mismatch — truncation,
@@ -23,6 +23,10 @@
 //! * **Versioned format.** [`CACHE_FORMAT_VERSION`] is part of the header;
 //!   entries from an older (or newer) daemon are invalidated, not
 //!   misparsed.
+//! * **Entries are the only on-disk state.** Nothing derived from them
+//!   is persisted: the daemon catalogs the cache by decoding every entry
+//!   when it binds, so a corrupt entry is quarantined then instead of
+//!   being listed.
 //!
 //! Keys are content hashes of the full job identity (see
 //! [`crate::parallel::Job::cache_key`]): same simulation in, same key out,
@@ -143,7 +147,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Counters a [`ResultCache`] keeps about its own behavior, surfaced by
-/// the daemon's `status` response and flushed into `index.json`.
+/// the daemon's `status` response and its drain summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Entries served from disk.
@@ -261,10 +265,10 @@ impl ResultCache {
         keys
     }
 
-    /// Reads `key` without touching the hit/miss counters — for index
-    /// (re)builds that walk the cache, which are bookkeeping, not
-    /// request traffic. A damaged entry is still quarantined (that
-    /// counter records real events, not traffic).
+    /// Reads `key` without touching the hit/miss counters — for catalog
+    /// builds that walk the cache, which are bookkeeping, not request
+    /// traffic. A damaged entry is still quarantined (that counter
+    /// records real events, not traffic).
     pub fn peek(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entry_path(key);
         let bytes = fs::read(&path).ok()?;
@@ -275,14 +279,6 @@ impl ResultCache {
                 None
             }
         }
-    }
-
-    /// Parses `index.json` if present and valid. Advisory only: callers
-    /// must cross-check anything they take from it against the entries
-    /// actually on disk.
-    pub fn read_index(&self) -> Option<JsonValue> {
-        let text = fs::read_to_string(self.dir.join("index.json")).ok()?;
-        JsonValue::parse(&text).ok()
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -352,37 +348,23 @@ impl ResultCache {
     }
 
     /// Writes `index.json` next to the entries: format version, entry
-    /// count, and the behavior counters. Written atomically like an entry;
-    /// called by the daemon on graceful shutdown. The index is advisory —
-    /// correctness never depends on it (every entry is self-verifying).
+    /// count, and the behavior counters, written atomically like an
+    /// entry. Nothing reads the file and the daemon never writes it: its
+    /// catalog is built from the entries themselves. It is kept only
+    /// because perfbench's `serve` replay times it
+    /// (`cache.index_flush_ms`).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the write fails.
     pub fn flush_index(&self) -> io::Result<PathBuf> {
-        self.flush_index_with(None)
-    }
-
-    /// Like [`ResultCache::flush_index`], with an optional `dataset`
-    /// array — per-entry metadata the daemon's `query` surface catalogs —
-    /// persisted alongside the counters so the next daemon can warm its
-    /// catalog without decoding every entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when the write fails.
-    pub fn flush_index_with(&self, dataset: Option<JsonValue>) -> io::Result<PathBuf> {
-        let stats = self.stats();
-        let mut fields = vec![
+        let doc = JsonValue::object([
             ("format_version", JsonValue::from(CACHE_FORMAT_VERSION)),
             ("entries", self.len().into()),
-            ("stats", stats.to_json()),
-        ];
-        if let Some(dataset) = dataset {
-            fields.push(("dataset", dataset));
-        }
+            ("stats", self.stats().to_json()),
+        ]);
         let path = self.dir.join("index.json");
-        write_durable(&path, JsonValue::object(fields).render().as_bytes())?;
+        write_durable(&path, doc.render().as_bytes())?;
         Ok(path)
     }
 }

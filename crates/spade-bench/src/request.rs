@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use spade_core::advisor::{advise_tiered, PlanRanker};
+use spade_core::advisor::{advise_candidates, advise_tiered, PlanRanker};
 use spade_core::{
     BarrierPolicy, ExecutionPlan, PlanSearchSpace, Primitive, RMatrixPolicy, RunReport,
     SystemConfig,
@@ -34,6 +34,7 @@ use spade_matrix::TilingConfig;
 use spade_sim::{Cycle, JsonValue};
 
 use crate::parallel::{trace_key, Job, JobOutput, MatrixDigest, ParallelRunner};
+use crate::runner::{best_plan, prune_candidates};
 use crate::suite::Workload;
 
 /// Upper bound on `pes`: the config allocates per-PE state before the
@@ -782,23 +783,42 @@ pub fn advise(target: &Target, ranker: Option<&dyn PlanRanker>) -> Result<Advise
 }
 
 impl Advised {
-    /// Simulates the candidates — pruned to the ranker's `top_n` plus
+    /// Simulates the candidates the model tier ranks
+    /// ([`advise_candidates`]: the quick space, the heuristic's pick and
+    /// Base) on the target machine — pruned to the ranker's `top_n` plus
     /// Base, or all of them without a ranker — and picks the fastest:
     /// `spade-cli advise --exact`. The daemon never runs this, since it
     /// answers `advise` on the connection thread.
-    pub fn exact(target: &Target, ranker: Option<&dyn PlanRanker>, top_n: usize) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Fails only on a degenerate graph shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if Base is not the last candidate, which [`best_plan`]
+    /// relies on (Base's row panel is not in the quick space).
+    pub fn exact(
+        target: &Target,
+        ranker: Option<&dyn PlanRanker>,
+        top_n: usize,
+    ) -> Result<Self, String> {
         let w = Workload::prepare(target.benchmark, target.scale, target.k);
+        let config = target.config();
         let started = Instant::now();
-        let (plan, report) =
-            crate::runner::find_opt(&target.config(), &w, Primitive::Spmm, true, ranker, top_n);
-        Advised {
+        let plans = advise_candidates(&w.a, target.k, &config).map_err(|e| e.to_string())?;
+        let base = ExecutionPlan::spmm_base(&w.a).map_err(|e| e.to_string())?;
+        assert_eq!(plans.last(), Some(&base), "Base must be the last candidate");
+        let plans = prune_candidates(&plans, &w, &config, ranker, top_n);
+        let (plan, report) = best_plan(&config, &w, Primitive::Spmm, &plans);
+        Ok(Advised {
             plan,
             source: "exhaustive",
             predicted_cycles: None,
             measured_cycles: Some(report.cycles),
             latency_us: started.elapsed().as_micros() as u64,
             features: MatrixFeatures::compute(&w.a),
-        }
+        })
     }
 
     /// The `advise` result document.
@@ -830,5 +850,177 @@ impl Advised {
             ),
         ));
         JsonValue::object(fields)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::PRUNE_TOP_N;
+    use spade_core::advisor;
+
+    const PES: usize = 8;
+
+    fn target(benchmark: Benchmark) -> Target {
+        Target {
+            benchmark,
+            scale: Scale::Tiny,
+            k: 32,
+            pes: PES,
+        }
+    }
+
+    /// The request machine of [`target`].
+    fn machine() -> SystemConfig {
+        SystemConfig::scaled(PES)
+    }
+
+    /// Simulated SpMM cycles of each of `plans` for `target`.
+    fn cycles_of(target: &Target, plans: &[ExecutionPlan]) -> Vec<u64> {
+        let w = Arc::new(Workload::prepare(target.benchmark, target.scale, target.k));
+        let config = Arc::new(machine());
+        let jobs: Vec<Job> = plans
+            .iter()
+            .map(|&p| Job::new(&w, &config, Primitive::Spmm, p))
+            .collect();
+        let reports = ParallelRunner::from_env().run(&jobs);
+        reports.iter().map(|r| r.cycles).collect()
+    }
+
+    fn candidates(target: &Target) -> Vec<ExecutionPlan> {
+        let a = target.benchmark.generate(target.scale);
+        advise_candidates(&a, target.k, &machine()).unwrap()
+    }
+
+    /// A ranker that scores each plan by a fixed lookup — used as an
+    /// oracle (scores = true cycles) and as an adversary (inverted).
+    struct TableRanker {
+        table: Vec<(ExecutionPlan, f64)>,
+        confident: bool,
+    }
+
+    impl TableRanker {
+        /// Scores every candidate of `target` by its true cycles, times
+        /// `sign`.
+        fn from_cycles(target: &Target, sign: f64) -> Self {
+            let plans = candidates(target);
+            let cycles = cycles_of(target, &plans);
+            TableRanker {
+                table: plans
+                    .into_iter()
+                    .zip(cycles)
+                    .map(|(p, c)| (p, sign * c as f64))
+                    .collect(),
+                confident: true,
+            }
+        }
+    }
+
+    impl PlanRanker for TableRanker {
+        fn confident(&self) -> bool {
+            self.confident
+        }
+        fn rank(
+            &self,
+            _features: &MatrixFeatures,
+            _k: usize,
+            _pes: usize,
+            plans: &[ExecutionPlan],
+        ) -> Option<Vec<(usize, f64)>> {
+            let mut scored: Vec<(usize, f64)> = plans
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let score = self
+                        .table
+                        .iter()
+                        .find(|(q, _)| q == p)
+                        .map_or(f64::MAX, |&(_, s)| s);
+                    (i, score)
+                })
+                .collect();
+            scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            Some(scored)
+        }
+    }
+
+    #[test]
+    fn exact_answers_from_the_candidates_advise_ranks() {
+        for benchmark in [Benchmark::Myc, Benchmark::Kro] {
+            let t = target(benchmark);
+            let exact = Advised::exact(&t, None, 0).unwrap();
+            assert!(
+                candidates(&t).contains(&exact.plan),
+                "{benchmark:?}: {:?} is not an advise candidate",
+                exact.plan
+            );
+            let a = benchmark.generate(Scale::Tiny);
+            let heuristic = advisor::advise(&a, t.k, &machine()).unwrap();
+            let base = ExecutionPlan::spmm_base(&a).unwrap();
+            let measured = exact.measured_cycles.unwrap();
+            for (name, cycles) in ["heuristic", "base"]
+                .into_iter()
+                .zip(cycles_of(&t, &[heuristic, base]))
+            {
+                assert!(
+                    measured <= cycles,
+                    "{benchmark:?}: exact took {measured} cycles, the {name} plan {cycles}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_oracle_ranker_prunes_to_the_unpruned_answer() {
+        let t = target(Benchmark::Kro);
+        let unpruned = Advised::exact(&t, None, 0).unwrap();
+        // An oracle ranker always keeps the true optimum in its top-1.
+        let oracle = TableRanker::from_cycles(&t, 1.0);
+        for top_n in [1, 2, PRUNE_TOP_N] {
+            let pruned = Advised::exact(&t, Some(&oracle), top_n).unwrap();
+            assert_eq!(pruned.plan, unpruned.plan, "plan diverged at top_n={top_n}");
+            assert_eq!(
+                pruned.measured_cycles, unpruned.measured_cycles,
+                "cycles diverged at top_n={top_n}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_adversarial_ranker_never_loses_to_base() {
+        let t = target(Benchmark::Kro);
+        let plans = candidates(&t);
+        // A ranker that prefers the *slowest* plans still yields a list in
+        // enumeration order with Base last, and select_opt still caps the
+        // damage at Base.
+        let adversary = TableRanker::from_cycles(&t, -1.0);
+        let w = Workload::prepare(t.benchmark, t.scale, t.k);
+        let pruned = prune_candidates(&plans, &w, &machine(), Some(&adversary), 2);
+        assert_eq!(pruned.len(), 3);
+        assert_eq!(pruned.last(), plans.last());
+        let pos = |p: &ExecutionPlan| plans.iter().position(|q| q == p).unwrap();
+        assert!(pos(&pruned[0]) < pos(&pruned[1]));
+        let advised = Advised::exact(&t, Some(&adversary), 2).unwrap();
+        let base = cycles_of(&t, &plans[plans.len() - 1..])[0];
+        assert!(advised.measured_cycles.unwrap() <= base);
+    }
+
+    #[test]
+    fn an_absent_or_unconfident_ranker_prunes_nothing() {
+        let t = target(Benchmark::Myc);
+        let plans = candidates(&t);
+        let w = Workload::prepare(t.benchmark, t.scale, t.k);
+        assert_eq!(
+            prune_candidates(&plans, &w, &machine(), None, PRUNE_TOP_N),
+            plans
+        );
+        let shy = TableRanker {
+            table: Vec::new(),
+            confident: false,
+        };
+        assert_eq!(
+            prune_candidates(&plans, &w, &machine(), Some(&shy), 1),
+            plans
+        );
     }
 }

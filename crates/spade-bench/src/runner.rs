@@ -18,9 +18,10 @@ use crate::machines;
 use crate::parallel::{Job, ParallelRunner};
 use crate::suite::Workload;
 
-/// How many model-ranked candidates [`find_opt`] simulates before
-/// falling back on the Base plan comparison. Covers the true optimum on
-/// the quick space (6–8 searched plans) with room to spare on Table 3.
+/// How many model-ranked candidates `spade-cli advise --exact` simulates
+/// (see [`prune_candidates`]) before falling back on the Base plan
+/// comparison. Covers the true optimum on the quick space (6–8 searched
+/// plans) with room to spare.
 pub const PRUNE_TOP_N: usize = 5;
 
 /// Runs one SPADE execution of `primitive` on `w` under `plan`, validating
@@ -88,39 +89,40 @@ pub fn select_opt(plans: &[ExecutionPlan], reports: &[RunReport]) -> (ExecutionP
 
 /// Searches the (quick) Table 3-shaped space in parallel and returns the
 /// best plan and its report — the SPADE Opt methodology (§7.A).
-///
-/// With a confident `ranker`, only its `top_n` searched candidates (plus
-/// Base) are simulated. The pruned list keeps the surviving plans in their
-/// original enumeration order and Base last, so [`select_opt`]'s
-/// tie-breaking is unchanged: whenever the true optimum (the first
-/// minimal-cycle searched candidate) survives the pruning, the returned
-/// `(plan, report)` pair is byte-identical to the exhaustive search. When
-/// `ranker` is `None`, not confident, or declines to rank, or `top_n` is
-/// 0, the whole space is simulated.
 pub fn find_opt(
     config: &SystemConfig,
     w: &Workload,
     primitive: Primitive,
     quick: bool,
-    ranker: Option<&dyn PlanRanker>,
-    top_n: usize,
 ) -> (ExecutionPlan, RunReport) {
-    let plans = opt_candidates(w, quick);
-    let pruned = prune_candidates(&plans, w, config, ranker, top_n);
+    best_plan(config, w, primitive, &opt_candidates(w, quick))
+}
+
+/// Simulates `plans`, a candidate list that ends with the Base plan, in
+/// parallel and returns the [`select_opt`] winner.
+pub fn best_plan(
+    config: &SystemConfig,
+    w: &Workload,
+    primitive: Primitive,
+    plans: &[ExecutionPlan],
+) -> (ExecutionPlan, RunReport) {
     let workload = Arc::new(w.clone());
     let config = Arc::new(config.clone());
-    let jobs: Vec<Job> = pruned
+    let jobs: Vec<Job> = plans
         .iter()
         .map(|&plan| Job::new(&workload, &config, primitive, plan))
         .collect();
     let reports = ParallelRunner::from_env().run(&jobs);
-    select_opt(&pruned, &reports)
+    select_opt(plans, &reports)
 }
 
-/// Reduces an [`opt_candidates`] list to the ranker's `top_n` searched
-/// plans (in original enumeration order) followed by the Base plan.
+/// Reduces a candidate list that ends with the Base plan to the ranker's
+/// `top_n` searched plans (in original enumeration order) followed by
+/// Base, so [`select_opt`]'s tie-breaking is unchanged: whenever the true
+/// optimum (the first minimal-cycle searched candidate) survives the
+/// pruning, the selected `(plan, report)` pair is the unpruned one.
 /// Returns the input unchanged when the ranker is absent, unconfident,
-/// declines to rank, or `top_n` already covers the space.
+/// declines to rank, or `top_n` is 0 or already covers the list.
 pub fn prune_candidates(
     plans: &[ExecutionPlan],
     w: &Workload,
@@ -170,7 +172,7 @@ mod tests {
         let w = Workload::prepare(Benchmark::Kro, Scale::Tiny, 32);
         let cfg = machines::spade_system(8);
         let base = run_base(&cfg, &w, Primitive::Spmm);
-        let (_, opt) = find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
+        let (_, opt) = find_opt(&cfg, &w, Primitive::Spmm, true);
         assert!(opt.cycles <= base.cycles);
     }
 
@@ -189,126 +191,6 @@ mod tests {
         assert_eq!(*plans.last().unwrap(), machines::base_plan(&w.a));
         // MYC-sized matrices add the tiny row panel.
         assert!(plans.iter().any(|p| p.tiling.row_panel_size == 2));
-    }
-
-    /// A ranker that scores each plan by a fixed lookup — used as an
-    /// oracle (scores = true cycles) and as an adversary (inverted).
-    struct TableRanker {
-        table: Vec<(ExecutionPlan, f64)>,
-        confident: bool,
-    }
-
-    impl PlanRanker for TableRanker {
-        fn confident(&self) -> bool {
-            self.confident
-        }
-        fn rank(
-            &self,
-            _features: &MatrixFeatures,
-            _k: usize,
-            _pes: usize,
-            plans: &[ExecutionPlan],
-        ) -> Option<Vec<(usize, f64)>> {
-            let mut scored: Vec<(usize, f64)> = plans
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let score = self
-                        .table
-                        .iter()
-                        .find(|(q, _)| q == p)
-                        .map(|&(_, s)| s)
-                        .unwrap_or(f64::MAX);
-                    (i, score)
-                })
-                .collect();
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-            Some(scored)
-        }
-    }
-
-    /// True cycles for every candidate, for oracle/adversary rankers.
-    fn candidate_cycles(
-        cfg: &SystemConfig,
-        w: &Workload,
-        quick: bool,
-    ) -> Vec<(ExecutionPlan, f64)> {
-        let plans = opt_candidates(w, quick);
-        let workload = Arc::new(w.clone());
-        let config = Arc::new(cfg.clone());
-        let jobs: Vec<Job> = plans
-            .iter()
-            .map(|&p| Job::new(&workload, &config, Primitive::Spmm, p))
-            .collect();
-        let reports = ParallelRunner::from_env().run(&jobs);
-        plans
-            .iter()
-            .zip(&reports)
-            .map(|(&p, r)| (p, r.cycles as f64))
-            .collect()
-    }
-
-    #[test]
-    fn pruned_find_opt_is_byte_identical_when_optimum_survives() {
-        let w = Workload::prepare(Benchmark::Kro, Scale::Tiny, 32);
-        let cfg = machines::spade_system(8);
-        let exhaustive = find_opt(&cfg, &w, Primitive::Spmm, true, None, 0);
-        // An oracle ranker always keeps the true optimum in its top-1.
-        let oracle = TableRanker {
-            table: candidate_cycles(&cfg, &w, true),
-            confident: true,
-        };
-        for top_n in [1, 2, PRUNE_TOP_N] {
-            let pruned = find_opt(&cfg, &w, Primitive::Spmm, true, Some(&oracle), top_n);
-            assert_eq!(pruned.0, exhaustive.0, "plan diverged at top_n={top_n}");
-            assert_eq!(pruned.1, exhaustive.1, "report diverged at top_n={top_n}");
-        }
-    }
-
-    #[test]
-    fn an_absent_or_unconfident_ranker_prunes_nothing() {
-        let w = Workload::prepare(Benchmark::Myc, Scale::Tiny, 32);
-        let cfg = machines::spade_system(8);
-        let plans = opt_candidates(&w, true);
-        assert_eq!(
-            prune_candidates(&plans, &w, &cfg, None, PRUNE_TOP_N),
-            plans.to_vec()
-        );
-        let shy = TableRanker {
-            table: Vec::new(),
-            confident: false,
-        };
-        assert_eq!(
-            prune_candidates(&plans, &w, &cfg, Some(&shy), 1),
-            plans.to_vec()
-        );
-    }
-
-    #[test]
-    fn pruning_keeps_enumeration_order_and_base_last() {
-        let w = Workload::prepare(Benchmark::Kro, Scale::Tiny, 32);
-        let cfg = machines::spade_system(8);
-        let plans = opt_candidates(&w, true);
-        // An adversarial ranker that prefers the *slowest* plans still
-        // yields a list in enumeration order with Base last, and
-        // select_opt still caps the damage at Base.
-        let mut inverted = candidate_cycles(&cfg, &w, true);
-        for (_, s) in &mut inverted {
-            *s = -*s;
-        }
-        let adversary = TableRanker {
-            table: inverted,
-            confident: true,
-        };
-        let pruned = prune_candidates(&plans, &w, &cfg, Some(&adversary), 2);
-        assert_eq!(pruned.len(), 3);
-        assert_eq!(*pruned.last().unwrap(), machines::base_plan(&w.a));
-        let pos = |p: &ExecutionPlan| plans.iter().position(|q| q == p).unwrap();
-        assert!(pos(&pruned[0]) < pos(&pruned[1]));
-        let (plan, report) = find_opt(&cfg, &w, Primitive::Spmm, true, Some(&adversary), 2);
-        let base = run_base(&cfg, &w, Primitive::Spmm);
-        assert!(report.cycles <= base.cycles);
-        let _ = plan;
     }
 
     #[test]

@@ -44,8 +44,9 @@
 //!   workload and job.
 //! * **Graceful shutdown.** SIGTERM/SIGINT (see
 //!   [`install_termination_handler`]) or an in-band `shutdown` request
-//!   stops the accept loop, drains in-flight jobs, flushes the cache
-//!   index and returns a [`ServiceSummary`].
+//!   stops the accept loop, drains in-flight jobs and returns a
+//!   [`ServiceSummary`]. Every stored entry is already durable, so the
+//!   drain writes nothing to the cache.
 //!
 //! # Protocol
 //!
@@ -67,8 +68,8 @@
 //!   latency histograms), answered on the connection thread.
 //! * `query` — enumerate/filter the cached entries as a dataset
 //!   (benchmark, kernel, kind, k, pes, cycle bounds). Served from an
-//!   in-memory catalog that is loaded from `index.json` and rebuilt
-//!   from the entries themselves when the index is stale or missing.
+//!   in-memory catalog that bind builds by decoding every entry and the
+//!   workers extend as they store.
 //! * `trace` — run (or cache-serve) one job with event tracing on and
 //!   stream the Chrome-trace JSON back in the result, byte-identical
 //!   to what `spade-cli trace` writes locally.
@@ -144,14 +145,6 @@ pub const DEFAULT_QUERY_LIMIT: usize = 500;
 /// expanded sweep template). Bounds the per-connection reply buffer the
 /// way `queue_capacity` bounds admitted work.
 pub const MAX_BATCH_JOBS: usize = 256;
-
-/// Stores between debounced `index.json` flushes. Under sustained load
-/// the catalog is persisted every this-many stores; when the admission
-/// queue drains the pending stores are flushed immediately, so
-/// sequential traffic is persisted as it lands and a SIGKILL loses at
-/// most the last `INDEX_FLUSH_EVERY - 1` rows of the *advisory* index
-/// (the entries themselves are already durable).
-const INDEX_FLUSH_EVERY: u64 = 8;
 
 /// Ceiling on the load-scaled `retry_after_ms` hint.
 pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
@@ -313,9 +306,6 @@ struct Inner {
     /// threading one identity through its log span from admission to
     /// reply.
     next_rid: AtomicU64,
-    /// Stores committed since the last `index.json` flush — the
-    /// debounce counter behind [`maybe_flush_index`].
-    index_dirty: AtomicU64,
     started: Instant,
 }
 
@@ -417,7 +407,6 @@ impl Service {
                 served_ok: AtomicU64::new(0),
                 served_err: AtomicU64::new(0),
                 next_rid: AtomicU64::new(0),
-                index_dirty: AtomicU64::new(0),
                 started: Instant::now(),
             }),
         })
@@ -434,8 +423,7 @@ impl Service {
 
     /// Serves until shutdown is requested (in-band `shutdown`, or
     /// SIGTERM/SIGINT after [`install_termination_handler`]), then drains
-    /// in-flight work, flushes the cache index and returns the lifetime
-    /// summary.
+    /// in-flight work and returns the lifetime summary.
     ///
     /// # Errors
     ///
@@ -489,12 +477,6 @@ impl Service {
         drop(work_tx);
         for w in workers {
             let _ = w.join();
-        }
-        if let Some(cache) = &inner.cache {
-            let dataset = inner.dataset.as_ref().map(DatasetIndex::to_json);
-            if let Err(e) = cache.flush_index_with(dataset) {
-                eprintln!("spade-serve: cache index flush failed: {e}");
-            }
         }
         let m = &inner.metrics;
         Ok(ServiceSummary {
@@ -1417,8 +1399,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
                 if let Some(dataset) = &inner.dataset {
                     dataset.insert_payload(key, result);
                 }
-                inner.index_dirty.fetch_add(1, Ordering::Relaxed);
-                maybe_flush_index(inner);
             }
         }
         // The gauge drops before the reply goes out: a `status` or
@@ -1428,36 +1408,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
         // The handler may have given up (connection died); a dead
         // receiver just drops the result.
         let _ = item.reply.send(outcome);
-    }
-}
-
-/// Debounced `index.json` flush, called by workers after each committed
-/// store. The index used to be written only on graceful drain, so a
-/// SIGKILL'd daemon restarted with a permanently stale index and every
-/// cold `query` re-decoded entry payloads. Now the catalog is persisted
-/// during normal operation: immediately when the admission queue is
-/// empty (sequential traffic — a result is on disk in the index before
-/// its reply is sent), and every [`INDEX_FLUSH_EVERY`] stores under
-/// sustained load. The write itself is the cache's atomic
-/// temp-file+rename, so a crash mid-flush leaves the previous index.
-fn maybe_flush_index(inner: &Arc<Inner>) {
-    let (Some(cache), Some(dataset)) = (&inner.cache, &inner.dataset) else {
-        return;
-    };
-    let dirty = inner.index_dirty.load(Ordering::Relaxed);
-    if dirty == 0 {
-        return;
-    }
-    if dirty < INDEX_FLUSH_EVERY && inner.queue_depth() > 0 {
-        return; // debounce: more work is queued, batch the stores up
-    }
-    if inner.index_dirty.swap(0, Ordering::Relaxed) == 0 {
-        return; // another worker won the flush race
-    }
-    if let Err(e) = cache.flush_index_with(Some(dataset.to_json())) {
-        // A failed flush costs index freshness, not correctness: the
-        // entries are durable and the catalog rebuilds from them.
-        eprintln!("spade-serve: cache index flush failed: {e}");
     }
 }
 
@@ -1522,29 +1472,6 @@ impl EntryMeta {
             ("dram_accesses", self.dram_accesses.into()),
         ])
     }
-
-    fn from_json(doc: &JsonValue) -> Option<EntryMeta> {
-        let kind = match doc.get("kind")?.as_str()? {
-            "run" => "run",
-            "search" => "search",
-            "trace" => "trace",
-            _ => return None,
-        };
-        Some(EntryMeta {
-            key: doc.get("key")?.as_str()?.to_string(),
-            kind,
-            benchmark: doc.get("benchmark")?.as_str()?.to_string(),
-            kernel: doc.get("kernel")?.as_str()?.to_string(),
-            k: doc.get("k")?.as_u64()?,
-            pes: doc.get("pes")?.as_u64()?,
-            plan: match doc.get("plan") {
-                None | Some(JsonValue::Null) => None,
-                Some(p) => Some(p.clone()),
-            },
-            cycles: doc.get("cycles")?.as_u64()?,
-            dram_accesses: doc.get("dram_accesses")?.as_u64()?,
-        })
-    }
 }
 
 /// Decodes one cached payload into its catalog row. Returns `None` for
@@ -1595,40 +1522,26 @@ fn entry_meta_from_payload(key: &str, payload: &[u8]) -> Option<EntryMeta> {
 }
 
 /// In-memory catalog of the cache contents, backing the `query`
-/// request. Built once at bind time and kept current by the workers as
-/// they store; flushed into `index.json` on drain so the next daemon
-/// warms its catalog without decoding every entry. Advisory like the
-/// index itself: the entries on disk are the source of truth, and any
-/// key the stale index doesn't cover is rebuilt from the entry header.
+/// request. Built once at bind time by decoding every entry and kept
+/// current by the workers as they store; it is never persisted, so the
+/// entries on disk are the only state it derives from.
 struct DatasetIndex {
     entries: Mutex<BTreeMap<String, EntryMeta>>,
 }
 
 impl DatasetIndex {
-    /// Catalogs `cache`: rows from `index.json` where the entry is
-    /// still on disk, decoded from the entry payload otherwise (stale
-    /// or missing index); index rows whose entry vanished are dropped.
+    /// Catalogs `cache` by decoding every entry's payload. An entry
+    /// that fails its checks is quarantined (and counted) by the read,
+    /// so it is never listed.
     fn load(cache: &ResultCache) -> DatasetIndex {
-        let mut from_index: BTreeMap<String, EntryMeta> = BTreeMap::new();
-        if let Some(doc) = cache.read_index() {
-            if let Some(items) = doc.get("dataset").and_then(JsonValue::as_array) {
-                for item in items {
-                    if let Some(meta) = EntryMeta::from_json(item) {
-                        from_index.insert(meta.key.clone(), meta);
-                    }
-                }
-            }
-        }
-        let mut entries = BTreeMap::new();
-        for key in cache.keys() {
-            if let Some(meta) = from_index.remove(&key) {
-                entries.insert(key, meta);
-            } else if let Some(payload) = cache.peek(&key) {
-                if let Some(meta) = entry_meta_from_payload(&key, &payload) {
-                    entries.insert(key, meta);
-                }
-            }
-        }
+        let entries = cache
+            .keys()
+            .into_iter()
+            .filter_map(|key| {
+                let meta = entry_meta_from_payload(&key, &cache.peek(&key)?)?;
+                Some((key, meta))
+            })
+            .collect();
         DatasetIndex {
             entries: Mutex::new(entries),
         }
@@ -1724,7 +1637,8 @@ impl DatasetIndex {
         ])
     }
 
-    /// The catalog as the `dataset` array persisted in `index.json`.
+    /// The catalog rows, in key order: the `entries` of a dataset
+    /// export.
     fn to_json(&self) -> JsonValue {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         JsonValue::Array(entries.values().map(EntryMeta::to_json).collect())
@@ -1734,16 +1648,23 @@ impl DatasetIndex {
 /// Exports the cache catalog as one JSON document — the dataset a cost
 /// model is trained from (`spade-cli dataset export` / `model train`).
 /// Loads the catalog exactly the way the daemon does at bind time
-/// (`DatasetIndex::load`): rows from a current `index.json` are
-/// trusted, anything the index is stale or missing for is rebuilt from
-/// the entry payloads on disk, and entries that fail their checksum are
-/// quarantined and *skipped* — the export reports how many in
-/// `skipped_quarantined` (with a stderr warning) instead of failing.
+/// (`DatasetIndex::load`): every entry payload on disk is decoded, and
+/// entries that fail their checksum are quarantined and *skipped* — the
+/// export reports how many in `skipped_quarantined` (with a stderr
+/// warning) instead of failing.
 ///
 /// # Errors
 ///
-/// Fails only when the cache directory cannot be opened or created.
+/// Fails with [`io::ErrorKind::NotFound`] when `cache_dir` is not an
+/// existing directory (an export never creates one, so a mistyped path
+/// is an error, not an empty dataset), or when it cannot be listed.
 pub fn export_dataset(cache_dir: &Path) -> io::Result<JsonValue> {
+    if !cache_dir.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no cache directory at {}", cache_dir.display()),
+        ));
+    }
     let cache = ResultCache::open(cache_dir)?;
     let dataset = DatasetIndex::load(&cache);
     let entries = dataset.to_json();

@@ -50,6 +50,7 @@ fn shutdown_and_join(
 }
 
 const RUN_MYC: &str = r#"{"cmd":"run","benchmark":"myc","k":16,"pes":4,"scale":"tiny"}"#;
+const RUN_KRO_TINY: &str = r#"{"cmd":"run","benchmark":"kro","k":16,"pes":4,"scale":"tiny"}"#;
 
 #[test]
 fn cold_then_warm_cache_hits_are_byte_identical() {
@@ -515,11 +516,7 @@ fn warm_query_reflects_exactly_the_cached_entries() {
 
     let mut client = ServiceClient::connect(&addr).expect("connect");
     let mut keys = Vec::new();
-    for req in [
-        RUN_MYC,
-        r#"{"cmd":"run","benchmark":"kro","k":16,"pes":4,"scale":"tiny"}"#,
-        TRACE_MYC,
-    ] {
+    for req in [RUN_MYC, RUN_KRO_TINY, TRACE_MYC] {
         let doc = parse(&client.request_line(req).expect("seed request"));
         assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
         keys.push(
@@ -595,9 +592,7 @@ fn warm_query_reflects_exactly_the_cached_entries() {
 
     shutdown_and_join(&addr, handle);
 
-    // Delete the advisory index: a restarted daemon must rebuild the
-    // catalog from the entry payloads themselves.
-    std::fs::remove_file(dir.join("index.json")).expect("remove index");
+    // A restarted daemon rebuilds the catalog from the entry payloads.
     let (addr, handle) = spawn_service(test_config(Some(&dir)));
     let mut client = ServiceClient::connect(&addr).expect("reconnect");
     let rebuilt = query(&mut client, r#"{"cmd":"query"}"#);
@@ -614,9 +609,101 @@ fn warm_query_reflects_exactly_the_cached_entries() {
         })
         .collect();
     listed.sort();
-    assert_eq!(listed, keys, "catalog must survive losing index.json");
+    assert_eq!(listed, keys, "catalog must survive a restart");
     shutdown_and_join(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The entries are the only state a daemon reads at bind. An
+/// `index.json` an older daemon left behind may still list an entry that
+/// has since been damaged; the catalog must not trust it, so the damaged
+/// entry is quarantined at bind, not listed.
+#[test]
+fn a_corrupt_entry_is_quarantined_at_bind_even_if_an_old_index_lists_it() {
+    let dir = std::env::temp_dir().join(format!("spade_svc_old_index_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    let mut keys = Vec::new();
+    for req in [RUN_MYC, RUN_KRO_TINY] {
+        let doc = parse(&client.request_line(req).expect("run"));
+        keys.push(
+            doc.get("key")
+                .and_then(JsonValue::as_str)
+                .expect("key")
+                .to_string(),
+        );
+    }
+    let rows = parse(&client.request_line(r#"{"cmd":"query"}"#).expect("query"));
+    let rows = rows
+        .get("result")
+        .and_then(|r| r.get("entries"))
+        .expect("catalog rows")
+        .clone();
+    shutdown_and_join(&addr, handle);
+
+    // An index as an older daemon wrote it, listing both rows.
+    let index = JsonValue::object([
+        ("format_version", 2u64.into()),
+        ("entries", 2u64.into()),
+        (
+            "stats",
+            JsonValue::object([
+                ("hits", 0u64.into()),
+                ("misses", 2u64.into()),
+                ("stores", 2u64.into()),
+                ("quarantined", 0u64.into()),
+            ]),
+        ),
+        ("dataset", rows),
+    ]);
+    std::fs::write(dir.join("index.json"), index.render()).expect("write old index");
+    let entry = dir.join(format!("{}.entry", keys[0]));
+    let mut bytes = std::fs::read(&entry).expect("entry");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&entry, &bytes).expect("damage entry");
+    // The same state in a second directory, for an offline export.
+    let twin = dir.with_extension("twin");
+    let _ = std::fs::remove_dir_all(&twin);
+    std::fs::create_dir(&twin).expect("twin dir");
+    for file in std::fs::read_dir(&dir).expect("list cache").flatten() {
+        if file.path().is_file() {
+            std::fs::copy(file.path(), twin.join(file.file_name())).expect("copy");
+        }
+    }
+
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("reconnect");
+    let rows = parse(&client.request_line(r#"{"cmd":"query"}"#).expect("query"));
+    assert_eq!(
+        rows.get("result")
+            .and_then(|r| r.get("matched"))
+            .and_then(JsonValue::as_u64),
+        Some(1),
+        "the damaged entry must not be listed"
+    );
+    let status = parse(&client.request_line(r#"{"cmd":"status"}"#).expect("status"));
+    assert_eq!(
+        status
+            .get("cache")
+            .and_then(|c| c.get("quarantined"))
+            .and_then(JsonValue::as_u64),
+        Some(1),
+        "bind must quarantine the damaged entry"
+    );
+    shutdown_and_join(&addr, handle);
+
+    let export = spade_bench::service::export_dataset(&twin).expect("export");
+    assert_eq!(export.get("total").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(
+        export
+            .get("skipped_quarantined")
+            .and_then(JsonValue::as_u64),
+        Some(1)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&twin);
 }
 
 #[test]
@@ -726,7 +813,7 @@ fn observability_never_changes_served_bytes() {
 
 // ---------------------------------------------------------------------------
 // Protocol v3: batch sweeps, server-side aggregation, and the bugfix
-// sweep (index freshness, load-scaled back-pressure, limit: 0)
+// sweep (load-scaled back-pressure, limit: 0)
 // ---------------------------------------------------------------------------
 
 use spade_bench::service::{scaled_retry_after_ms, MAX_RETRY_AFTER_MS};
@@ -1309,46 +1396,6 @@ fn query_limit_zero_is_rejected_not_silently_empty() {
             .expect("limit 5"),
     );
     assert_eq!(ok.get("ok").and_then(JsonValue::as_bool), Some(true));
-    shutdown_and_join(&addr, handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn index_flushes_during_normal_operation_not_only_at_drain() {
-    let dir = std::env::temp_dir().join(format!("spade_svc_flush_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (addr, handle) = spawn_service(test_config(Some(&dir)));
-    let mut client = ServiceClient::connect(&addr).expect("connect");
-    let mut keys = Vec::new();
-    for req in &SOLO_3[..2] {
-        let doc = parse(&client.request_line(req).expect("run"));
-        keys.push(
-            doc.get("key")
-                .and_then(JsonValue::as_str)
-                .expect("key")
-                .to_string(),
-        );
-    }
-    // The satellite fix: with an idle queue every store flushes the
-    // index before the reply is sent, so the on-disk catalog is already
-    // current — no drain needed. (A SIGKILL now loses nothing; the
-    // process-level test lives in spade-cli's serve_daemon suite.)
-    let text = std::fs::read_to_string(dir.join("index.json"))
-        .expect("index.json must exist while the daemon is still running");
-    let index = JsonValue::parse(&text).expect("parse index");
-    let listed: Vec<&str> = index
-        .get("dataset")
-        .and_then(JsonValue::as_array)
-        .expect("dataset rows")
-        .iter()
-        .filter_map(|e| e.get("key").and_then(JsonValue::as_str))
-        .collect();
-    for key in &keys {
-        assert!(
-            listed.contains(&key.as_str()),
-            "store {key} missing from the live index {listed:?}"
-        );
-    }
     shutdown_and_join(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -515,7 +515,7 @@ fn advise_cmd(argv: &[String]) -> Result<(), String> {
     let model = load_model_flag(&args);
     let ranker = model.as_ref().map(|m| m as &dyn PlanRanker);
     let advised = if args.has("exact") {
-        Advised::exact(&target, ranker, top_n)
+        Advised::exact(&target, ranker, top_n)?
     } else {
         request::advise(&target, ranker)?
     };
@@ -547,9 +547,9 @@ fn run_mm(argv: &[String]) -> Result<(), String> {
 
 /// `spade-cli serve`: the always-on experiment daemon — newline-delimited
 /// JSON over TCP, a bounded admission queue with back-pressure, and a
-/// crash-safe persistent result cache (see `spade_bench::service`).
-/// SIGTERM/ctrl-c (or an in-band `shutdown` request) drains in-flight
-/// jobs, flushes the cache index and exits 0.
+/// crash-safe persistent result cache (see `spade_bench::service`),
+/// whose directory it creates if needed. SIGTERM/ctrl-c (or an in-band
+/// `shutdown` request) drains in-flight jobs and exits 0.
 fn serve(argv: &[String]) -> Result<(), String> {
     let args = parse_args(
         argv,
@@ -1177,9 +1177,10 @@ fn dataset(argv: &[String]) -> Result<(), String> {
 }
 
 /// `dataset export`: the cache catalog as one JSON document, the input
-/// to `model train`. Rebuilds from entry payloads when `index.json` is
-/// stale and skips (with a counted warning) entries that fail their
-/// checksum — a damaged cache degrades the dataset, never the export.
+/// to `model train`. Decodes every entry payload and skips (with a
+/// counted warning) entries that fail their checksum — a damaged cache
+/// degrades the dataset, never the export. A `--cache-dir` that is not
+/// an existing directory is an error, never an empty dataset.
 fn dataset_export(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["cache-dir", "out"], &[])?;
     let dir = args.get("cache-dir").ok_or("--cache-dir is required")?;
@@ -1692,11 +1693,9 @@ mod tests {
         assert_eq!(err, "flag '--benchmark' given twice");
     }
 
-    /// The full offline loop: a swept cache (with a stale index and one
-    /// corrupt entry) → `dataset export` → `model train` → `advise
-    /// --model`. Pins the satellite contract: a stale `index.json` is
-    /// rebuilt from entry payloads and quarantined entries are skipped
-    /// with a count, never a failure.
+    /// The full offline loop: a swept cache (with one corrupt entry) →
+    /// `dataset export` → `model train` → `advise --model`. Quarantined
+    /// entries are skipped with a count, never a failure.
     #[test]
     fn dataset_export_model_train_advise_roundtrip() {
         use spade_bench::cache::ResultCache;
@@ -1724,8 +1723,6 @@ mod tests {
                 }
             }
         }
-        // Stale index: garbage forces the rebuild-from-payloads path.
-        std::fs::write(dir.join("index.json"), "not json at all").unwrap();
         // One damaged entry: must be quarantined and skipped, not fatal.
         let victim = dir.join("e000.entry");
         let mut bytes = std::fs::read(&victim).unwrap();

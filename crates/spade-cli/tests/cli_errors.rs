@@ -87,6 +87,20 @@ fn malformed_matrix_file_fails_cleanly() {
 }
 
 #[test]
+fn dataset_export_of_a_missing_cache_dir_fails_and_creates_nothing() {
+    let dir = std::env::temp_dir().join(format!("spade_cli_no_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let missing = dir.join("nested");
+    assert_clean_failure(&[
+        "dataset",
+        "export",
+        "--cache-dir",
+        missing.to_str().unwrap(),
+    ]);
+    assert!(!dir.exists(), "export created {}", dir.display());
+}
+
+#[test]
 fn healthy_run_exits_zero() {
     let out = spade_cli(&["run", "--benchmark", "myc", "--pes", "4", "--k", "16"]);
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -34,7 +34,8 @@ pub enum AdviseSource {
     Model,
     /// The structural heuristic ([`advise`]) picked the plan.
     Heuristic,
-    /// Exhaustive simulation (`find_opt`) picked the plan.
+    /// Simulating every [`advise_candidates`] plan picked the plan
+    /// (`spade-cli advise --exact`).
     Exhaustive,
 }
 
@@ -127,8 +128,8 @@ pub fn advise_candidates(
 ///    its predicted cycles.
 /// 2. **Heuristic** — otherwise fall back to the structural [`advise`].
 /// 3. **Exhaustive** — full simulation is *not* run here; callers that
-///    want `find_opt` ground truth invoke it explicitly (it is demoted
-///    to an offline verification path).
+///    want ground truth simulate the [`advise_candidates`] list
+///    explicitly (`spade-cli advise --exact`, an offline path).
 ///
 /// # Errors
 ///

@@ -97,10 +97,11 @@ trap 'rm -f "$smoke" "$runs" "$bench_out" "$bench_cycles" "$advise_model" "$advi
   --out "$bench_out" --model-out "$advise_model" \
   --report-out "$advise_report" >/dev/null
 
-echo "== daemon smoke (serve/client, cache hit, SIGTERM drain)"
+echo "== daemon smoke (serve/client, cache hit, SIGTERM drain, restart)"
 # A real `spade-cli serve` process driven over TCP: cold run, cache hit
 # byte-identity, malformed-frame rejection, concurrent burst, graceful
-# SIGTERM drain. Keeps its cache directory on failure for postmortem.
+# SIGTERM drain, and a restart on the same cache whose catalog must list
+# the cached run. Keeps its cache directory on failure for postmortem.
 scripts/serve_smoke.sh ./target/release/spade-cli
 
 echo "All checks passed."

@@ -3,7 +3,8 @@
 # starts a real daemon on an OS-assigned port, drives it with
 # `spade-cli client`, and checks the robustness contract from the
 # outside — cold run, byte-identical cache hit, malformed-frame
-# rejection, a concurrent burst, and a SIGTERM drain that exits 0.
+# rejection, a concurrent burst, a SIGTERM drain that exits 0, and a
+# restart on the same cache directory whose catalog lists the cached run.
 #
 # Usage: scripts/serve_smoke.sh [path-to-spade-cli]
 # The cache directory is kept on failure (its path is printed) so CI can
@@ -35,20 +36,36 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== starting daemon (port 0, cache at $CACHE_DIR)"
-"$CLI" serve --addr 127.0.0.1:0 --cache-dir "$CACHE_DIR" \
-  --read-timeout-ms 50 >"$LOG" &
-DAEMON_PID=$!
+# Starts a daemon on the cache directory, logging to $LOG (truncated),
+# and sets DAEMON_PID and ADDR from its banner line.
+start_daemon() {
+  "$CLI" serve --addr 127.0.0.1:0 --cache-dir "$CACHE_DIR" \
+    --read-timeout-ms 50 >"$LOG" &
+  DAEMON_PID=$!
+  for _ in $(seq 1 100); do
+    [ -s "$LOG" ] && break
+    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died before banner"
+    sleep 0.05
+  done
+  ADDR=$(head -n1 "$LOG" | sed -n 's/.*"serving":"\([^"]*\)".*/\1/p')
+  [ -n "$ADDR" ] || fail "no serving address in banner: $(head -n1 "$LOG")"
+  echo "   daemon at $ADDR"
+}
 
-# The banner line announces the actual address.
-for _ in $(seq 1 100); do
-  [ -s "$LOG" ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died before banner"
-  sleep 0.05
-done
-ADDR=$(head -n1 "$LOG" | sed -n 's/.*"serving":"\([^"]*\)".*/\1/p')
-[ -n "$ADDR" ] || fail "no serving address in banner: $(head -n1 "$LOG")"
-echo "   daemon at $ADDR"
+# SIGTERM must drain and exit 0 with a summary line.
+stop_daemon() {
+  kill -TERM "$DAEMON_PID"
+  if ! wait "$DAEMON_PID"; then
+    DAEMON_PID=""
+    fail "daemon did not exit 0 on SIGTERM"
+  fi
+  DAEMON_PID=""
+  SUMMARY=$(tail -n1 "$LOG")
+  case "$SUMMARY" in *'"served_ok"'*) ;; *) fail "no summary line: $SUMMARY" ;; esac
+}
+
+echo "== starting daemon (port 0, cache at $CACHE_DIR)"
+start_daemon
 
 client() { "$CLI" client --addr "$ADDR" --request "$1"; }
 
@@ -126,17 +143,16 @@ for pid in $BURST_PIDS; do wait "$pid" || true; done
 STATUS=$(client '{"cmd":"status"}')
 case "$STATUS" in *'"ok":true'*) ;; *) fail "status after burst: $STATUS" ;; esac
 
-echo "== SIGTERM (drain, flush index, exit 0)"
-kill -TERM "$DAEMON_PID"
-if ! wait "$DAEMON_PID"; then
-  DAEMON_PID=""
-  fail "daemon did not exit 0 on SIGTERM"
-fi
-DAEMON_PID=""
-SUMMARY=$(tail -n1 "$LOG")
-case "$SUMMARY" in *'"served_ok"'*) ;; *) fail "no summary line: $SUMMARY" ;; esac
+echo "== SIGTERM (drain, exit 0)"
+stop_daemon
 case "$SUMMARY" in *'"metrics"'*) ;; *) fail "summary has no metrics snapshot: $SUMMARY" ;; esac
-[ -f "$CACHE_DIR/index.json" ] || fail "index.json was not flushed on drain"
+
+echo "== restart on the same cache (catalog rebuilt from the entries)"
+start_daemon
+QUERY=$("$CLI" client query --addr "$ADDR" --benchmark myc --kind run --format json) \
+  || fail "query after restart failed"
+case "$QUERY" in *'"matched":1'*) ;; *) fail "restarted catalog lost the cached run: $QUERY" ;; esac
+stop_daemon
 
 rm -rf "$CACHE_DIR"
 echo "serve_smoke: all checks passed."
